@@ -9,7 +9,7 @@ from .generators import (generator_table, gen_a, gen_b2, gen_b3, gen_b4,
                          eisenstein_c4, eisenstein_c6, discriminant,
                          verify_relation, verify_mf_embedding,
                          mf_embedding_report, CALIBRATION)
-from .ring import (JFElement, Inhomogeneous, normal_form, jf_add, jf_mul,
+from .ring import (JFElement, Inhomogeneous, normal_form,
                    degree_basis, element_coords, element_from_coords,
                    eval_series, in_image, image_basis, cokernel,
                    cokernel_representatives, render_element_text,

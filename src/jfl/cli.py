@@ -4,18 +4,20 @@ Each subcommand builds a CommandResult with a status (ok, mismatch,
 error), a JSON-ready payload, and the list of adopted-assumption
 strings relevant to it.  Text output is deterministic; JSON output is
 the serialized CommandResult and survives a parse/re-dump round trip
-byte for byte.  Exit code 0 means ok, 1 mismatch, 2 error.
+byte for byte.  Exit code 0 means ok, 1 mismatch, 2 error, also for
+an unexpected exception.
 """
 
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass, field
 
 from . import generators, genus, ring, spectral
 from .lattice import FPAbelianGroup
-from .series import SeriesError, render_text, render_json_dict
-from .spectral import DEVIATIONS, UnsupportedDegree
+from .series import render_text, render_json_dict
+from .spectral import DEVIATIONS, check_guard
 
 
 @dataclass
@@ -30,21 +32,16 @@ class CommandResult:
                 "deviations": list(self.deviations)}
 
 
-def _guarded(value, what):
-    cap = spectral.max_degree_guard()
-    if value > cap:
-        raise UnsupportedDegree(
-            "%s %d exceeds guard %d (set JFL_MAX_DEGREE_GUARD to raise)"
-            % (what, value, cap))
-    return value
-
-
 # -- subcommand implementations -----------------------------------------
 
-def cmd_expand(args):
-    qmax = _guarded(args.qmax, "qmax")
-    if qmax < 1:
+def _qmax(args):
+    if args.qmax < 1:
         raise ValueError("qmax must be at least 1")
+    return check_guard(args.qmax, "qmax")
+
+
+def cmd_expand(args):
+    qmax = _qmax(args)
     table = generators.generator_table(qmax)
     s = table.series_of(args.gen)
     text = render_text(s)
@@ -54,9 +51,7 @@ def cmd_expand(args):
 
 
 def cmd_verify(args):
-    qmax = _guarded(args.qmax, "qmax")
-    if qmax < 1:
-        raise ValueError("qmax must be at least 1")
+    qmax = _qmax(args)
     checks = {}
     if args.which in ("relation", "all"):
         checks["relation"] = generators.verify_relation(qmax)
@@ -93,48 +88,27 @@ def cmd_genus(args):
     return CommandResult("ok", payload), "%s\nchi = %d" % (text, chi)
 
 
-def _group_str(rank, torsion):
-    return str(FPAbelianGroup(rank, tuple(torsion)))
+def _group_str(group):
+    return str(FPAbelianGroup(group["rank"], tuple(group["torsion"])))
 
 
 def cmd_homotopy(args):
-    max_degree = _guarded(args.max_degree, "max degree")
-    if args.target == "tjf":
-        page = spectral.tjf_page(max_degree)
-        expected_of = spectral.expected_tjf_group
-    else:
-        page = spectral.msu_page(max_degree)
-        expected_of = lambda n: (
-            FPAbelianGroup(*spectral.MSU_EXPECTED_TABLE[n])
-            if n in spectral.MSU_EXPECTED_TABLE else None)
-    groups = spectral.homotopy_groups(page, max_degree)
-    rows = []
-    ok = True
+    max_degree = check_guard(args.max_degree, "max degree")
+    _, rows, ok = spectral.compare_homotopy(args.target, max_degree)
     lines = []
-    for n in range(max_degree + 1):
-        g = groups[n]
-        expected = expected_of(n)
-        row = {"n": n, "rank": g.rank, "torsion": list(g.torsion)}
-        if expected is None:
-            row["expected"] = None
-            row["match"] = None
-            lines.append("n=%-2d  %-12s" % (n, str(g)))
-        else:
-            match = g == expected
-            ok = ok and match
-            row["expected"] = spectral.group_to_json(expected)
-            row["match"] = match
-            lines.append("n=%-2d  %-12s expected %-12s %s"
-                         % (n, str(g), str(expected),
-                            "ok" if match else "MISMATCH"))
-        rows.append(row)
+    for row in rows:
+        line = "n=%-2d  %-12s" % (row["n"], _group_str(row))
+        if row["expected"] is not None:
+            line += " expected %-12s %s" % (_group_str(row["expected"]),
+                                           "ok" if row["match"] else "MISMATCH")
+        lines.append(line)
     payload = {"target": args.target, "max_degree": max_degree, "rows": rows}
     return (CommandResult("ok" if ok else "mismatch", payload, list(DEVIATIONS)),
             "\n".join(lines))
 
 
 def cmd_surjectivity(args):
-    max_degree = _guarded(args.max_degree, "max degree")
+    max_degree = check_guard(args.max_degree, "max degree")
     report = spectral.surjectivity_check(args.n_param, max_degree)
     if report["status"] == "ok":
         text = ("ok: %d bidegrees match at parameter %d through degree %d"
@@ -148,9 +122,9 @@ def cmd_surjectivity(args):
 
 
 def cmd_image(args):
-    degree = _guarded(args.degree, "degree")
-    if degree < 0 or degree % 2:
+    if args.degree < 0 or args.degree % 2:
         raise ValueError("degree must be even and nonnegative")
+    degree = check_guard(args.degree, "degree")
     coker = ring.cokernel(degree)
     reps = [ring.render_element_text(ring.normal_form({mono: 1}))
             for mono in ring.cokernel_representatives(degree)]
@@ -170,14 +144,18 @@ def cmd_image(args):
 
 
 # -- the umbrella suite ---------------------------------------------------
+#
+# SUITE is the one registry of the verification checks: verify-all runs
+# it, and criteria 1-8 of the acceptance gate call the same entries.
 
-def _suite_anchors():
+def _anchors():
     table = generators.generator_table(2)
     checks = [
         render_text(table.b4).startswith("y^-1 + 4 + y"),
         render_text(table.a).startswith("-y^(-1/2) + y^(1/2)"),
         table.b2.q_layer(0) == {-2: 1, 0: 10, 2: 1},
         table.b3.q_layer(0) == {-1: 1, 1: 1},
+        table.b4.q_layer(0) == {-2: 1, 0: 4, 2: 1},
         table.b8.q_layer(0) == {-2: 1, 0: 1, 2: 1},
         table.b2.specialize_z0()[0] == 12,
         table.b3.specialize_z0()[0] == 2,
@@ -187,7 +165,31 @@ def _suite_anchors():
     return all(checks)
 
 
-def _suite_image():
+def _modular_embeddings():
+    report = generators.mf_embedding_report(9)
+    return (set(report) == {"c4", "c6", "delta", "mf_relation"}
+            and all(report.values()))
+
+
+def _bordism_table():
+    report = spectral.check_msu_table(16)
+    return (report["status"] == "ok"
+            and all(r["match"] for r in report["rows"]))
+
+
+def _target_homotopy():
+    # pi_4 is carried by the doubled class: the image lattice is (2)
+    if spectral.free_kernel_lattice(spectral.tjf_page(24), 4) != [[2]]:
+        return False
+    report = spectral.check_tjf_groups(24)
+    return (report["status"] == "ok"
+            and all(r["match"] for r in report["rows"])
+            and all(r["match"] for r in report["image_rows"])
+            and report["deviations_adopted"] == list(DEVIATIONS)
+            and len(DEVIATIONS) == 3)
+
+
+def _image():
     for d in range(0, 65, 2):
         coker = ring.cokernel(d)
         if coker.rank or coker.torsion != (2,) * ring.expected_cokernel_rank(d):
@@ -197,64 +199,56 @@ def _suite_image():
     return not ring.in_image(ring.B2) and not ring.in_image(ring.B2 * ring.B8)
 
 
-def _suite_surjectivity():
-    return all(spectral.surjectivity_check(n, 32)["status"] == "ok"
-               for n in (-1, 0, 1, 2))
+def _surjectivity():
+    for n in (-1, 0, 1, 2):
+        report = spectral.surjectivity_check(n, 32)
+        if not (report["status"] == "ok" and report["first_failure"] is None
+                and report["bidegrees_checked"] > 0):
+            return False
+    return True
 
 
-def _suite_genus():
+def _genus():
     k3 = genus.chern_data(2, c2=24)
-    two_b2 = ring.B2.scale(2)
-    if genus.genus_deg4(k3) != two_b2:
-        return False
     sextic = genus.chern_data(4, c2sq=1350, c4=2610)
     g8 = genus.genus_deg8(sextic)
-    if ring.render_element_text(g8) != "387*b4 + 2*b2^2":
-        return False
-    series, _ = ring.eval_series(g8, 1)
-    if series.specialize_z0()[0] != 2610:
-        return False
-    if not genus.genus_deg6(genus.chern_data(3, c3=0)).is_zero():
-        return False
-    prod = genus.product_chern_data(k3, k3)
-    if genus.genus_deg8(prod) != two_b2 * two_b2:
-        return False
-    return all(ring.in_image(v)
-               for n in (-1, 0, 1, 2)
-               for v in genus.generator_genus_table(n).values())
+    z0 = ring.eval_series(g8, 1)[0].specialize_z0()[0]
+    two_b2 = ring.B2.scale(2)
+    checks = [
+        genus.genus_deg4(k3) == two_b2,
+        ring.render_element_text(g8) == "387*b4 + 2*b2^2",
+        z0 == 2610 == genus.euler_characteristic(sextic),
+        genus.genus_deg6(genus.chern_data(3, c3=0)).is_zero(),
+        genus.genus_deg8(genus.product_chern_data(k3, k3)) == two_b2 * two_b2,
+        all(ring.in_image(v)
+            for n in (-1, 0, 1, 2)
+            for v in genus.generator_genus_table(n).values()),
+    ]
+    return all(checks)
+
+
+SUITE = (
+    ("series relation through q^8", lambda: generators.verify_relation(9)),
+    ("generator anchors", _anchors),
+    ("modular embeddings through q^8", _modular_embeddings),
+    ("bordism table through degree 16", _bordism_table),
+    ("homotopy of the target through degree 24", _target_homotopy),
+    ("image lattice and cokernels through degree 64", _image),
+    ("surjectivity at parameters -1, 0, 1, 2", _surjectivity),
+    ("genus examples and generator table", _genus),
+)
 
 
 def cmd_verify_all(args):
-    suite = [
-        ("series relation through q^8",
-         lambda: generators.verify_relation(9)),
-        ("generator anchors", _suite_anchors),
-        ("modular embeddings through q^8",
-         lambda: generators.verify_mf_embedding(9)),
-        ("bordism table through degree 16",
-         lambda: spectral.check_msu_table()["status"] == "ok"),
-        ("homotopy of the target through degree 24",
-         lambda: spectral.check_tjf_groups(24)["status"] == "ok"),
-        ("image lattice and cokernels through degree 64", _suite_image),
-        ("surjectivity at parameters -1, 0, 1, 2", _suite_surjectivity),
-        ("genus examples and generator table", _suite_genus),
-    ]
     checks = []
-    lines = []
-    ok = True
-    for name, run in suite:
+    for name, run in SUITE:
         try:
-            passed = bool(run())
+            checks.append({"name": name, "status": "ok" if run() else "mismatch"})
         except Exception as exc:  # a broken check is a mismatch, not an abort
-            passed = False
-            lines.append("%s: error (%s)" % (name, exc))
-            checks.append({"name": name, "status": "error"})
-            ok = False
-            continue
-        ok = ok and passed
-        status = "ok" if passed else "mismatch"
-        checks.append({"name": name, "status": status})
-        lines.append("%s: %s" % (name, status))
+            checks.append({"name": name, "status": "error", "error": str(exc)})
+    ok = all(c["status"] == "ok" for c in checks)
+    lines = ["%s: %s" % (c["name"], c["status"])
+             + (" (%s)" % c["error"] if "error" in c else "") for c in checks]
     lines.append("overall: %s" % ("ok" if ok else "mismatch"))
     payload = {"checks": checks, "overall": "ok" if ok else "mismatch"}
     return (CommandResult("ok" if ok else "mismatch", payload, list(DEVIATIONS)),
@@ -315,10 +309,14 @@ def main(argv=None):
         result = CommandResult("error", {"error": str(exc),
                                          "value": str(exc.value)})
         text = "error: %s" % exc
-    except (SeriesError, UnsupportedDegree, genus.UnsupportedDim,
-            ring.Inhomogeneous, ValueError) as exc:
+    except ValueError as exc:
         result = CommandResult("error", {"error": str(exc)})
         text = "error: %s" % exc
+    except Exception as exc:  # a bug is still an error, not a mismatch
+        traceback.print_exc()
+        message = "%s: %s" % (type(exc).__name__, exc)
+        result = CommandResult("error", {"error": message})
+        text = "error: %s" % message
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2))
     else:

@@ -15,7 +15,7 @@ calibrated to square to MINUS a^2.  All identities below are certified
 with this convention; A_SQUARE_SIGN records it for reports.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .series import (QYSeries, SeriesError, exact_divide, make_series)
@@ -23,9 +23,6 @@ from .series import (QYSeries, SeriesError, exact_divide, make_series)
 A_SQUARE_SIGN = -1
 
 CALIBRATION = {"a_branch": "+", "a_square_sign": A_SQUARE_SIGN}
-
-INDEX_OF = {"a": 1, "b2": 2, "b3": 3, "b4": 4, "b8": 8}
-DEGREE_OF = {"a": 0, "b2": 4, "b3": 6, "b4": 8, "b8": 16}
 
 
 def _product(truncation, factors):
@@ -141,10 +138,19 @@ def _xi_square_parts(truncation):
     return A, B, C
 
 
+def _b2_from_parts(A, B, C):
+    return _fold_doubled_q(A + B) + C
+
+
+def _b4_from_parts(A, B, C):
+    CQ = _stretch_to_doubled_q(C)
+    S = A * B + (A + B) * CQ
+    return _fold_doubled_q(_scale_exact_div(S, 8))
+
+
 def gen_b2(truncation):
     """The index-2 weight-0 generator, q^0 part y + 10 + y^{-1}."""
-    A, B, C = _xi_square_parts(truncation)
-    return _fold_doubled_q(A + B) + C
+    return _b2_from_parts(*_xi_square_parts(truncation))
 
 
 def gen_b4(truncation):
@@ -154,10 +160,7 @@ def gen_b4(truncation):
     normalized theta-constant squares: with A, B, C as above this is
     (AB + BC + CA)/8, whose coefficients are all even.
     """
-    A, B, C = _xi_square_parts(truncation)
-    CQ = _stretch_to_doubled_q(C)
-    S = A * B + (A + B) * CQ
-    return _fold_doubled_q(_scale_exact_div(S, 8))
+    return _b4_from_parts(*_xi_square_parts(truncation))
 
 
 @dataclass(frozen=True)
@@ -168,8 +171,6 @@ class GeneratorTable:
     b3: QYSeries
     b4: QYSeries
     b8: QYSeries
-    indexOf: dict = field(default_factory=lambda: dict(INDEX_OF))
-    degreeOf: dict = field(default_factory=lambda: dict(DEGREE_OF))
 
     def series_of(self, name):
         return getattr(self, name)
@@ -177,12 +178,14 @@ class GeneratorTable:
 
 @lru_cache(maxsize=16)
 def generator_table(truncation):
+    # b2 and b4 share the theta-constant squares: build them once
+    parts = _xi_square_parts(truncation)
     return GeneratorTable(
         truncation=truncation,
         a=gen_a(truncation),
-        b2=gen_b2(truncation),
+        b2=_b2_from_parts(*parts),
         b3=gen_b3(truncation),
-        b4=gen_b4(truncation),
+        b4=_b4_from_parts(*parts),
         b8=gen_b8(truncation),
     )
 

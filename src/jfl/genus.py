@@ -59,8 +59,8 @@ class ChernData:
 
     numbers maps partitions (descending tuples summing to d) to the
     value of the corresponding Chern monomial on the fundamental class.
-    Partitions containing a 1 must map to 0; every 1-free partition
-    must be present.
+    Partitions containing a 1 must map to 0; a missing 1-free partition
+    is filled in with 0.
     """
     complex_dim: int
     numbers: dict = field(default_factory=dict)
@@ -80,8 +80,6 @@ class ChernData:
             clean[part] = int(v)
         for part in partitions_without_ones(d):
             clean.setdefault(part, 0)
-            if part not in clean:
-                raise ValueError("missing Chern number for %r" % (part,))
         object.__setattr__(self, "numbers", clean)
 
     def number(self, *parts):

@@ -181,14 +181,6 @@ def normal_form(p):
     return JFElement(acc)
 
 
-def jf_add(x, y):
-    return normal_form(x) + normal_form(y)
-
-
-def jf_mul(x, y):
-    return normal_form(x) * normal_form(y)
-
-
 ONE = JFElement({(0, 0, 0, 0): 1})
 B2 = JFElement({(1, 0, 0, 0): 1})
 B3 = JFElement({(0, 1, 0, 0): 1})

@@ -91,7 +91,9 @@ class QYSeries:
         return (not self._terms) or self.parity == other.parity
 
     def __hash__(self):
-        return hash((self.truncation, self.parity, frozenset(self._terms.items())))
+        # no parity: a nonzero series' parity follows from its terms, and
+        # the zero series equals itself under either parity
+        return hash((self.truncation, frozenset(self._terms.items())))
 
     def __repr__(self):
         return "QYSeries(%s, N=%d)" % (render_text(self), self.truncation)
@@ -231,32 +233,6 @@ def make_series(entries, truncation, parity=None):
         else:
             terms.pop(key, None)
     return QYSeries(terms, truncation, seen_parity if seen_parity is not None else 0)
-
-
-# functional aliases matching the operation names used elsewhere
-
-def add(f, g):
-    return f + g
-
-
-def neg(f):
-    return -f
-
-
-def scale(k, f):
-    return f.scale(k)
-
-
-def mul(f, g):
-    return f * g
-
-
-def coefficient(f, n, r2):
-    return f.coefficient(n, r2)
-
-
-def specialize_z0(f):
-    return f.specialize_z0()
 
 
 def _laurent_exact_div(num, den):

@@ -27,20 +27,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import (FPAbelianGroup, determinant, hermite_normal_form,
-                      kernel_basis, smith_normal_form,
-                      solve_column_combination, transpose)
+                      kernel_basis, solve_column_combination, transpose)
 from . import ring
 from .ring import JFElement, normal_form
 
 __all__ = [
     "NotAComplex", "UnsupportedDegree", "DEVIATIONS",
+    "max_degree_guard", "check_guard",
     "PageGenerator", "PageSpec", "BigradedPage",
     "ChainGroup", "ChainSlice", "homology_at",
     "tjf_page", "msu_page", "msu_sub_page",
     "homotopy_groups", "free_kernel_lattice",
-    "surjectivity_check", "check_msu_table", "check_tjf_groups",
-    "expected_tjf_group",
-    "smith_normal_form", "MSU_EXPECTED_TABLE", "group_to_json",
+    "surjectivity_check", "compare_homotopy", "check_msu_table",
+    "check_tjf_groups", "expected_msu_group", "expected_tjf_group",
+    "MSU_EXPECTED_TABLE", "group_to_json",
 ]
 
 DEVIATIONS = ("b4*h1=0", "B2n*h1=0", "squared relation")
@@ -64,12 +64,17 @@ def max_degree_guard():
         return DEFAULT_MAX_DEGREE_GUARD
 
 
-def _check_guard(d):
+def check_guard(value, what="degree bound"):
+    """value itself if 0 <= value <= the guard, else UnsupportedDegree
+    naming the bound as `what`."""
+    if value < 0:
+        raise UnsupportedDegree("%s %d is negative" % (what, value))
     cap = max_degree_guard()
-    if d > cap:
+    if value > cap:
         raise UnsupportedDegree(
-            "degree bound %d exceeds guard %d (set JFL_MAX_DEGREE_GUARD to raise)"
-            % (d, cap))
+            "%s %d exceeds guard %d (set JFL_MAX_DEGREE_GUARD to raise)"
+            % (what, value, cap))
+    return value
 
 
 # -- chain groups and generic homology ---------------------------------
@@ -444,74 +449,59 @@ class BigradedPage:
 H1 = PageGenerator("h1", 1, 1, 2)
 
 
+def _square_rule(b2, b, c):
+    # the squared relation: the even partner of b squares to b2 b^2 - 4 c
+    return ((1, {b2: 1, b: 2}), (-4, {c: 1}))
+
+
+def _page(label, max_degree, b_family, c_family, rewrites):
+    """The one page builder: h1, then the B family, then the C family.
+
+    Families are iterables of (name, degree) and rewrites one of
+    (name, rule) pairs, read only once the degree guard has passed.
+    The first B generator carries d3 = h1^3, every other B generator
+    kills h1, and the C generators are inert.
+    """
+    check_guard(max_degree)
+    bs = tuple(PageGenerator(name, deg) for name, deg in b_family)
+    cs = tuple(PageGenerator(name, deg) for name, deg in c_family)
+    spec = PageSpec(
+        label=label,
+        generators=(H1,) + bs + cs,
+        rewrite_rules=dict(rewrites),
+        torsion_killers=frozenset(g.name for g in bs[1:]),
+        d3={g.name: ((1, {"h1": 3}),) for g in bs[:1]},
+        max_degree=max_degree,
+    )
+    return BigradedPage(spec)
+
+
+def _five_generator_page(label, max_degree, b2, b3, b4, c8):
+    return _page(label, max_degree, ((b2, 4), (b3, 6), (b4, 8)), ((c8, 16),),
+                 ((b4, _square_rule(b2, b3, c8)),))
+
+
 def tjf_page(max_degree):
-    _check_guard(max_degree)
-    spec = PageSpec(
-        label="tjf",
-        generators=(
-            H1,
-            PageGenerator("b2", 4),
-            PageGenerator("b3", 6),
-            PageGenerator("b4", 8),
-            PageGenerator("b8", 16),
-        ),
-        rewrite_rules={"b4": ((1, {"b2": 1, "b3": 2}), (-4, {"b8": 1}))},
-        torsion_killers=frozenset({"b3", "b4"}),
-        d3={"b2": ((1, {"h1": 3}),)},
-        max_degree=max_degree,
-    )
-    return BigradedPage(spec)
-
-
-def msu_page(max_degree):
-    _check_guard(max_degree)
-    gens = [H1]
-    rewrites = {}
-    for n2 in range(2, max_degree // 2 + 1):
-        gens.append(PageGenerator("B%d" % n2, 2 * n2))
-    for n in range(2, max_degree // 8 + 1):
-        gens.append(PageGenerator("C%d" % (4 * n), 8 * n))
-    for n in range(2, max_degree // 4 + 1):
-        # B_{2n}^2 = B2 B_{2n-1}^2 - 4 C_{4n}; expandable while C_{4n} is
-        # tabled, capped either way (None marks a square beyond the table)
-        if 8 * n <= max_degree:
-            rewrites["B%d" % (2 * n)] = (
-                (1, {"B2": 1, "B%d" % (2 * n - 1): 2}),
-                (-4, {"C%d" % (4 * n): 1}),
-            )
-        else:
-            rewrites["B%d" % (2 * n)] = None
-    killers = frozenset(g.name for g in gens
-                        if g.name.startswith("B") and g.name != "B2")
-    spec = PageSpec(
-        label="msu",
-        generators=tuple(gens),
-        rewrite_rules=rewrites,
-        torsion_killers=killers,
-        d3={"B2": ((1, {"h1": 3}),)},
-        max_degree=max_degree,
-    )
-    return BigradedPage(spec)
+    return _five_generator_page("tjf", max_degree, "b2", "b3", "b4", "b8")
 
 
 def msu_sub_page(max_degree):
-    """The five-generator sub-page driving the surjectivity check."""
-    _check_guard(max_degree)
-    spec = PageSpec(
-        label="msu-sub",
-        generators=(
-            H1,
-            PageGenerator("B2", 4),
-            PageGenerator("B3", 6),
-            PageGenerator("B4", 8),
-            PageGenerator("C8", 16),
-        ),
-        rewrite_rules={"B4": ((1, {"B2": 1, "B3": 2}), (-4, {"C8": 1}))},
-        torsion_killers=frozenset({"B3", "B4"}),
-        d3={"B2": ((1, {"h1": 3}),)},
-        max_degree=max_degree,
-    )
-    return BigradedPage(spec)
+    """The five-generator sub-page driving the surjectivity check; the
+    tjf page renamed b2, b3, b4, b8 -> B2, B3, B4, C8."""
+    return _five_generator_page("msu-sub", max_degree, "B2", "B3", "B4", "C8")
+
+
+def msu_page(max_degree):
+    # B_{2n}^2 = B2 B_{2n-1}^2 - 4 C_{4n}; expandable while C_{4n} is
+    # tabled, capped either way (None marks a square beyond the table)
+    return _page(
+        "msu", max_degree,
+        (("B%d" % n2, 2 * n2) for n2 in range(2, max_degree // 2 + 1)),
+        (("C%d" % (4 * n), 8 * n) for n in range(2, max_degree // 8 + 1)),
+        (("B%d" % (2 * n),
+          _square_rule("B2", "B%d" % (2 * n - 1), "C%d" % (4 * n))
+          if 8 * n <= max_degree else None)
+         for n in range(2, max_degree // 4 + 1)))
 
 
 def homotopy_groups(page, max_degree):
@@ -584,25 +574,45 @@ def expected_tjf_group(n):
     return FPAbelianGroup(free, (2,) * torsion)
 
 
-def check_msu_table(max_degree=16):
-    """Compare computed homotopy against the tabulated groups through 16."""
-    page = msu_page(max_degree)
+def expected_msu_group(n):
+    """The tabulated bordism group in degree n, None beyond the table."""
+    if n not in MSU_EXPECTED_TABLE:
+        return None
+    return FPAbelianGroup(*MSU_EXPECTED_TABLE[n])
+
+
+_TARGETS = {"msu": (msu_page, expected_msu_group),
+            "tjf": (tjf_page, expected_tjf_group)}
+
+
+def compare_homotopy(target, max_degree):
+    """(page, rows, ok): the homotopy of the msu or tjf page through
+    max_degree against its expected groups.
+
+    Each row carries n, rank, torsion, expected and match; expected and
+    match are None where no expectation reaches.  ok says every row
+    with an expectation matches.
+    """
+    page_of, expected_of = _TARGETS[target]
+    page = page_of(max_degree)
     groups = homotopy_groups(page, max_degree)
     rows = []
     ok = True
     for n in range(max_degree + 1):
-        expected = FPAbelianGroup(*MSU_EXPECTED_TABLE[n])
-        got = groups[n]
-        match = got == expected
-        ok = ok and match
-        rows.append({
-            "n": n,
-            "rank": got.rank,
-            "torsion": list(got.torsion),
-            "expected": group_to_json(expected),
-            "match": match,
-            "deviations_adopted": list(DEVIATIONS),
-        })
+        got, expected = groups[n], expected_of(n)
+        row = {"n": n, "rank": got.rank, "torsion": list(got.torsion),
+               "expected": None, "match": None}
+        if expected is not None:
+            row["expected"] = group_to_json(expected)
+            row["match"] = got == expected
+            ok = ok and row["match"]
+        rows.append(row)
+    return page, rows, ok
+
+
+def check_msu_table(max_degree=16):
+    """Compare computed homotopy against the tabulated groups through 16."""
+    _, rows, ok = compare_homotopy("msu", max_degree)
     return {"status": "ok" if ok else "mismatch",
             "rows": rows,
             "deviations_adopted": list(DEVIATIONS)}
@@ -617,23 +627,7 @@ def check_tjf_groups(max_degree=24):
     and the cokernels against the b2^(2m+1) b8^n pattern.  Discrepancies
     are reported, not raised.
     """
-    page = tjf_page(max_degree)
-    groups = homotopy_groups(page, max_degree)
-    rows = []
-    ok = True
-    for n in range(max_degree + 1):
-        expected = expected_tjf_group(n)
-        got = groups[n]
-        match = got == expected
-        ok = ok and match
-        rows.append({
-            "n": n,
-            "rank": got.rank,
-            "torsion": list(got.torsion),
-            "expected": group_to_json(expected),
-            "match": match,
-            "deviations_adopted": list(DEVIATIONS),
-        })
+    page, rows, ok = compare_homotopy("tjf", max_degree)
 
     image_rows = []
     for d in range(0, max_degree + 1, 2):
@@ -680,7 +674,7 @@ def _free_image_vector(images, mono, d):
     elem = ring.ONE
     for name, e in mono:
         elem = elem * images[name] ** e
-    return ring.element_coords(elem, d), elem
+    return ring.element_coords(elem, d)
 
 
 def _torsion_image_vector(images, mono, target_basis):
@@ -711,7 +705,6 @@ def surjectivity_check(n_param, max_degree):
     substitution.  Returns a report with the first failing bidegree if
     any.
     """
-    _check_guard(max_degree)
     sub = msu_sub_page(max_degree)
     target = tjf_page(max_degree)
     images = _substitution_images(n_param)
@@ -734,25 +727,17 @@ def surjectivity_check(n_param, max_degree):
                 continue
             checked += 1
             if s == 0:
-                cols = []
-                for mono in src:
-                    vec, _ = _free_image_vector(images, mono, d)
-                    cols.append(vec)
-                mat = [[cols[j][i] for j in range(len(cols))]
-                       for i in range(len(dst))]
-                det = determinant(mat)
-                if det not in (1, -1):
-                    failure = fail(d, s, "free-sector determinant %d" % det)
-                    break
-                t_mat = mat
+                cols = [_free_image_vector(images, mono, d) for mono in src]
             else:
                 cols = [_torsion_image_vector(images, mono, dst) for mono in src]
-                mat = [[cols[j][i] for j in range(len(cols))]
-                       for i in range(len(dst))]
-                if determinant(mat) % 2 == 0:
-                    failure = fail(d, s, "torsion-sector map not bijective mod 2")
-                    break
-                t_mat = mat
+            t_mat = transpose(cols)
+            det = determinant(t_mat)
+            if s == 0 and det not in (1, -1):
+                failure = fail(d, s, "free-sector determinant %d" % det)
+                break
+            if s and det % 2 == 0:
+                failure = fail(d, s, "torsion-sector map not bijective mod 2")
+                break
             # differential commutes with the substitution (mod 2 targets)
             src_d3 = sub.d3_matrix(d, s)
             dst_d3 = target.d3_matrix(d, s)

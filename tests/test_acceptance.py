@@ -1,17 +1,16 @@
 """Acceptance gate: one test and one printed PASS/FAIL line per criterion.
 
-Every check is exact integer equality; the timed criteria assert their
-wall-clock budget as well.  Run with -s (or read captured output on
-failure) to see the scoreboard lines.
+Criteria 1-8 run the entries of `jfl.cli.SUITE`, the registry that
+`jfl verify-all` runs too; the tests here add hand-written pins and the
+wall-clock budgets.  Every check is exact integer equality.  Run with -s
+(or read captured output on failure) to see the scoreboard lines.
 """
 
 import time
 
-from jfl import genus, ring, spectral
-from jfl.generators import (generator_table, mf_embedding_report,
-                            verify_relation)
+from jfl import spectral
+from jfl.cli import SUITE
 from jfl.lattice import FPAbelianGroup
-from jfl.ring import B2, B8, IMAGE_GENERATORS, in_image
 from property_suites import ALL_SUITES
 
 
@@ -20,43 +19,34 @@ def _report(n, label, ok):
     return ok
 
 
-def test_criterion_1_ring_relation():
+def _criterion(n, budget_s=None, extra=True):
+    """Run registry entry n, within budget_s seconds if given, and AND in
+    the test's own pins."""
+    name, check = SUITE[n - 1]
     t0 = time.monotonic()
-    ok = verify_relation(9)
-    elapsed = time.monotonic() - t0
-    ok = ok and elapsed < 5.0
-    assert _report(1, "ring relation to q^8", ok)
+    ok = bool(check())
+    if budget_s is not None:
+        ok = ok and time.monotonic() - t0 < budget_s
+    return _report(n, name, ok and extra)
+
+
+def test_criterion_1_ring_relation():
+    assert _criterion(1, budget_s=5.0)
 
 
 def test_criterion_2_generator_anchors():
-    t = generator_table(2)
-    checks = [
-        t.b2.specialize_z0()[0] == 12,
-        t.b3.specialize_z0()[0] == 2,
-        t.b4.q_layer(0) == {-2: 1, 0: 4, 2: 1},
-        (t.b2 * t.b2).q_layer(0) == {-4: 1, -2: 20, 0: 102, 2: 20, 4: 1},
-    ]
-    assert _report(2, "generator anchors", all(checks))
+    assert _criterion(2)
 
 
 def test_criterion_3_modular_embeddings():
-    report = mf_embedding_report(9)
-    ok = (set(report) == {"c4", "c6", "delta", "mf_relation"}
-          and all(report.values()))
-    assert _report(3, "modular embeddings to q^8", ok)
+    assert _criterion(3)
 
 
 def test_criterion_4_bordism_table():
-    t0 = time.monotonic()
-    report = spectral.check_msu_table(16)
-    elapsed = time.monotonic() - t0
-    rows = {r["n"]: r for r in report["rows"]}
-    ok = (report["status"] == "ok"
-          and all(r["match"] for r in report["rows"])
-          and rows[16]["rank"] == 7 and rows[16]["torsion"] == []
-          and rows[9]["rank"] == 0 and rows[9]["torsion"] == [2]
-          and elapsed < 30.0)
-    assert _report(4, "bordism table through degree 16", ok)
+    rows = {r["n"]: r for r in spectral.check_msu_table(16)["rows"]}
+    pins = (rows[16]["rank"] == 7 and rows[16]["torsion"] == []
+            and rows[9]["rank"] == 0 and rows[9]["torsion"] == [2])
+    assert _criterion(4, budget_s=30.0, extra=pins)
 
 
 def test_criterion_5_target_homotopy_groups():
@@ -72,57 +62,20 @@ def test_criterion_5_target_homotopy_groups():
         9: FPAbelianGroup(0, (2,)),
         10: FPAbelianGroup(1, (2,)),
     }
-    ok = all(groups[n] == g for n, g in pinned.items())
-    # pi_4 is carried by the doubled class: the image lattice is (2)
-    ok = ok and spectral.free_kernel_lattice(spectral.tjf_page(24), 4) == [[2]]
-    report = spectral.check_tjf_groups(24)
-    ok = (ok and report["status"] == "ok"
-          and all(r["match"] for r in report["rows"])
-          and all(r["match"] for r in report["image_rows"])
-          and report["deviations_adopted"] == list(spectral.DEVIATIONS)
-          and len(report["deviations_adopted"]) == 3)
-    assert _report(5, "target homotopy groups through degree 24", ok)
+    pins = all(groups[n] == g for n, g in pinned.items())
+    assert _criterion(5, extra=pins)
 
 
 def test_criterion_6_image_and_cokernel():
-    t0 = time.monotonic()
-    ok = True
-    for d in range(0, 65, 2):
-        coker = ring.cokernel(d)
-        expected = ring.expected_cokernel_rank(d)
-        ok = ok and coker.rank == 0 and coker.torsion == (2,) * expected
-    ok = ok and all(in_image(g) for g in IMAGE_GENERATORS)
-    ok = ok and not in_image(B2) and not in_image(B2 * B8)
-    elapsed = time.monotonic() - t0
-    ok = ok and elapsed < 30.0
-    assert _report(6, "image lattice and cokernels through degree 64", ok)
+    assert _criterion(6, budget_s=30.0)
 
 
 def test_criterion_7_surjectivity():
-    ok = True
-    for n in (-1, 0, 1, 2):
-        report = spectral.surjectivity_check(n, 32)
-        ok = (ok and report["status"] == "ok"
-              and report["first_failure"] is None
-              and report["bidegrees_checked"] > 0)
-    assert _report(7, "surjectivity at parameters -1, 0, 1, 2", ok)
+    assert _criterion(7)
 
 
 def test_criterion_8_genus_suite():
-    k3 = genus.chern_data(2, c2=24)
-    sextic = genus.chern_data(4, c2sq=1350, c4=2610)
-    g8 = genus.genus_deg8(sextic)
-    series, _ = ring.eval_series(g8, 1)
-    checks = [
-        genus.genus_deg4(k3) == B2.scale(2),
-        ring.render_element_text(g8) == "387*b4 + 2*b2^2",
-        series.specialize_z0()[0] == 2610,
-        series.specialize_z0()[0] == genus.euler_characteristic(sextic),
-        genus.genus_deg6(genus.chern_data(3, c3=0)).is_zero(),
-        genus.genus_deg8(genus.product_chern_data(k3, k3))
-        == genus.genus_deg4(k3) * genus.genus_deg4(k3),
-    ]
-    assert _report(8, "genus suite", all(checks))
+    assert _criterion(8)
 
 
 def test_criterion_9_property_suites():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from jfl import ring, spectral
+from jfl import cli, genus, ring, spectral
 from jfl.cli import main
 from jfl.spectral import DEVIATIONS
 
@@ -170,6 +170,51 @@ def test_degree_guard_and_override(run, monkeypatch):
     assert code == 0
 
 
+def test_negative_max_degree_is_an_error(run):
+    code, out = run(["homotopy", "--target", "msu", "--max-degree", "-1"])
+    assert (code, out) == (2, "error: max degree -1 is negative\n")
+    code, out = run(["surjectivity", "--n-param", "0", "--max-degree", "-5"])
+    assert (code, out) == (2, "error: max degree -5 is negative\n")
+
+
+def test_value_error_subclasses_exit_2(run, monkeypatch):
+    def unsupported(*args, **kwargs):
+        raise genus.UnsupportedDim("no formula in this dimension")
+    monkeypatch.setattr(genus, "chern_data", unsupported)
+    code, out = run(["genus", "--dim", "4", "--chern", "c2=24",
+                     "--format", "json"])
+    assert code == 2
+    parsed = json.loads(out)
+    assert parsed["status"] == "error"
+    assert parsed["payload"]["error"] == "no formula in this dimension"
+
+
+def test_unexpected_exception_exits_2(run, monkeypatch):
+    def broken(page, max_degree):
+        raise KeyError("B9")
+    monkeypatch.setattr(spectral, "homotopy_groups", broken)
+    code, out = run(["homotopy", "--target", "tjf", "--format", "json"])
+    assert code == 2
+    parsed = json.loads(out)
+    assert parsed["status"] == "error"
+    assert parsed["payload"]["error"] == "KeyError: 'B9'"
+    code, out = run(["homotopy", "--target", "tjf"])
+    assert (code, out) == (2, "error: KeyError: 'B9'\n")
+
+
+def test_verify_all_json_keeps_error_text(run, monkeypatch):
+    def broken(max_degree=16):
+        raise RuntimeError("table went missing")
+    monkeypatch.setattr(spectral, "check_msu_table", broken)
+    code, out = run(["verify-all", "--format", "json"])
+    assert code == 1
+    parsed = json.loads(out)
+    check = parsed["payload"]["checks"][3]
+    assert check == {"name": cli.SUITE[3][0], "status": "error",
+                     "error": "table went missing"}
+    assert [c["status"] for c in parsed["payload"]["checks"]].count("ok") == 7
+
+
 def test_verify_all_scoreboard(run):
     code, out = run(["verify-all"])
     assert code == 0
@@ -178,7 +223,7 @@ def test_verify_all_scoreboard(run):
     assert all(line.endswith(": ok") for line in lines[:-1])
     assert lines[-1] == "overall: ok"
     names = [line.rsplit(":", 1)[0] for line in lines[:-1]]
-    assert names == [
+    assert names == [name for name, _ in cli.SUITE] == [
         "series relation through q^8",
         "generator anchors",
         "modular embeddings through q^8",

@@ -143,6 +143,7 @@ def test_generator_functions_match_table(tab):
     assert gen_b3(T) == tab.b3
     assert gen_b4(T) == tab.b4
     assert gen_b8(T) == tab.b8
+    assert hash(tab) == hash(generator_table(T))  # frozen and hashable
 
 
 def test_truncation_respected():

@@ -76,6 +76,7 @@ def test_zero_is_parity_wild():
     z_even = QYSeries.zero(2, parity=0)
     z_odd = QYSeries.zero(2, parity=1)
     assert z_even == z_odd
+    assert len({z_even, z_odd}) == 1
     odd = make_series([(0, 1, 1)], truncation=2)
     assert z_even + odd == odd
 

@@ -4,7 +4,8 @@ from jfl import ring, spectral
 from jfl.lattice import FPAbelianGroup
 from jfl.spectral import (DEVIATIONS, TRIVIAL_GROUP, ChainGroup, ChainSlice,
                           NotAComplex, UnsupportedDegree, check_msu_table,
-                          check_tjf_groups, expected_tjf_group,
+                          check_tjf_groups, compare_homotopy,
+                          expected_tjf_group,
                           free_kernel_lattice, group_to_json, homology_at,
                           homotopy_groups, msu_page, msu_sub_page,
                           surjectivity_check, tjf_page)
@@ -110,12 +111,24 @@ class TestTjfPage:
         assert page.homology(4, 0) == FPAbelianGroup(1)
         assert free_kernel_lattice(page, 4) == [[2]]
 
-    def test_homology_against_enumeration_oracle(self, page):
-        for n in range(17):
-            total = FPAbelianGroup(0)
-            for s in range(n + 1):
-                total = total.direct_sum(page.homology(n, s))
-            assert total == expected_tjf_group(n), "degree %d" % n
+    def test_homology_against_enumeration_oracle(self):
+        # through the default guard
+        _, rows, ok = compare_homotopy("tjf", spectral.DEFAULT_MAX_DEGREE_GUARD)
+        assert ok and len(rows) == 65
+        assert all(r["match"] for r in rows)
+
+
+def test_sub_page_is_tjf_page_renamed():
+    rename = {"h1": "h1", "B2": "b2", "B3": "b3", "B4": "b4", "C8": "b8"}
+    sub, tjf = msu_sub_page(32), tjf_page(32)
+
+    def renamed(mons):
+        return tuple(tuple(sorted((rename[n], e) for n, e in m)) for m in mons)
+
+    for d in range(33):
+        for s in range(d + 1):
+            assert renamed(sub.basis(d, s)) == tjf.basis(d, s), (d, s)
+            assert sub.d3_matrix(d, s) == tjf.d3_matrix(d, s), (d, s)
 
 
 def test_homotopy_groups_pinned_list():
@@ -161,6 +174,12 @@ class TestMsuPage:
         assert len(report["rows"]) == 17
         assert all(r["match"] for r in report["rows"])
         assert report["deviations_adopted"] == list(DEVIATIONS)
+        assert all("deviations_adopted" not in r for r in report["rows"])
+
+    def test_below_the_first_generator(self):
+        # no B generator fits under degree 4: the page is h1 alone
+        assert msu_page(2).spec.generators == (spectral.H1,)
+        assert check_msu_table(2)["status"] == "ok"
 
 
 def test_check_tjf_groups_report():
@@ -188,6 +207,11 @@ class TestSurjectivity:
             assert report["n_param"] == n
             assert report["deviations_adopted"] == list(DEVIATIONS)
 
+    def test_holds_through_default_guard(self):
+        report = surjectivity_check(1, spectral.DEFAULT_MAX_DEGREE_GUARD)
+        assert report["status"] == "ok"
+        assert report["bidegrees_checked"] == 576
+
     def test_detects_a_broken_substitution(self, monkeypatch):
         def crooked(n_param):
             return {
@@ -210,6 +234,12 @@ class TestDegreeGuard:
             tjf_page(65)
         with pytest.raises(UnsupportedDegree):
             surjectivity_check(0, 65)
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(UnsupportedDegree, match="negative"):
+            tjf_page(-1)
+        with pytest.raises(UnsupportedDegree, match="negative"):
+            surjectivity_check(0, -5)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "128")
