@@ -1,10 +1,13 @@
 """q-expansions of the five ring generators and the classical forms.
 
-The five generators a, b2, b3, b4, b8 are built from triple-product
-theta expansions.  b3 and b8 are quotients of theta blocks, b2 and b4
-come from squares of normalized theta constants; the latter live on a
-doubled q-grid (Q^2 = q) internally and are folded back once the odd
-half-orders cancel.
+Every theta series here is a lacunary sum.  By the Jacobi triple
+product each product of N binomial factors that defines a theta
+function equals a sum over n in Z with O(sqrt N) terms; `_theta_sum`
+builds them all, eta^3 included.  a is a theta block over eta^3, b3 and
+b8 are quotients of theta blocks, and b2 and b4 come from the squares
+of the three normalized theta functions theta_00, theta_01, theta_10,
+which live on a doubled q-grid (Q^2 = q) and are folded back once the
+odd half-orders cancel.
 
 Sign calibration: the index-raising padding used to compare a weight-k
 form against ring elements is stabilizer_power(a, k) = (-1)^(k//2) a^k,
@@ -17,6 +20,7 @@ with this convention; A_SQUARE_SIGN records it for reports.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .series import (QYSeries, SeriesError, exact_divide, make_series)
 
@@ -25,39 +29,39 @@ A_SQUARE_SIGN = -1
 CALIBRATION = {"a_branch": "+", "a_square_sign": A_SQUARE_SIGN}
 
 
-def _product(truncation, factors):
-    acc = QYSeries.one(truncation)
-    for terms in factors:
-        acc = acc * make_series(terms, truncation)
-    return acc
+def _one(n):
+    return 1
 
 
-def _euler(truncation):
-    # prod_{n>=1} (1 - q^n)
-    return _product(truncation,
-                    ([(0, 0, 1), (n, 0, -1)] for n in range(1, truncation)))
+def _alternating(n):
+    return -1 if n % 2 else 1
 
 
-def gen_a(truncation):
-    """(y^{1/2} - y^{-1/2}) prod (1-q^n y)(1-q^n y^{-1}) (1-q^n)^{-2}."""
-    num = make_series([(0, 1, 1), (0, -1, -1)], truncation)
-    num = num * _product(truncation,
-                         ([(0, 0, 1), (n, 2, -1)] for n in range(1, truncation)))
-    num = num * _product(truncation,
-                         ([(0, 0, 1), (n, -2, -1)] for n in range(1, truncation)))
-    den = _euler(truncation) ** 2
-    return exact_divide(num, den)
+def _theta_sum(truncation, a, coeff=_alternating, k=1, doubled=False):
+    """Sum over n in Z of coeff(n) q^(n(n+a)/2) y^(k(2n+a)/2) below the
+    truncation.  On the doubled grid (Q^2 = q) the order is n(n+a) in
+    Q; otherwise a must be 1."""
+    div = 1 if doubled else 2
+    bound = isqrt(2 * truncation) + 1
+    return make_series(((n * (n + a) // div, k * (2 * n + a), coeff(n))
+                        for n in range(-bound, bound + 1)
+                        if n * (n + a) // div < truncation), truncation)
 
 
 def _theta_block(k, truncation):
     # (y^{k/2} - y^{-k/2}) prod (1-q^n)(1-q^n y^k)(1-q^n y^{-k})
-    acc = make_series([(0, k, 1), (0, -k, -1)], truncation)
-    acc = acc * _euler(truncation)
-    acc = acc * _product(truncation,
-                         ([(0, 0, 1), (n, 2 * k, -1)] for n in range(1, truncation)))
-    acc = acc * _product(truncation,
-                         ([(0, 0, 1), (n, -2 * k, -1)] for n in range(1, truncation)))
-    return acc
+    return _theta_sum(truncation, 1, k=k)
+
+
+def _eta_cubed(truncation):
+    # prod (1-q^n)^3 = sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2}
+    return _theta_sum(truncation, 1, lambda n: max(2 * n + 1, 0) * _alternating(n),
+                      k=0)
+
+
+def gen_a(truncation):
+    """(y^{1/2} - y^{-1/2}) prod (1-q^n y)(1-q^n y^{-1}) (1-q^n)^{-2}."""
+    return exact_divide(_theta_block(1, truncation), _eta_cubed(truncation))
 
 
 def theta_quotient(k, truncation):
@@ -90,62 +94,30 @@ def _fold_doubled_q(f):
     return QYSeries(terms, f.truncation // 2, f.parity)
 
 
-def _stretch_to_doubled_q(f):
-    # q^n -> Q^(2n)
-    return QYSeries({(2 * n, r2): c for (n, r2), c in f._terms.items()},
-                    2 * f.truncation, f.parity)
-
-
-def _scale_exact_div(f, k):
-    terms = {}
-    for key, c in f._terms.items():
-        q, r = divmod(c, k)
-        if r:
-            raise SeriesError("internal: coefficient %d not divisible by %d" % (c, k))
-        terms[key] = q
-    return QYSeries(terms, f.truncation, f.parity)
+def _xi_square(theta):
+    """4 xi^2 for xi = theta(z)/theta(0); theta(0) is theta at y = 1."""
+    theta0 = make_series(((n, 0, c) for n, _, c in theta.terms()),
+                         theta.truncation)
+    return exact_divide((theta * theta).scale(4), theta0 * theta0)
 
 
 def _xi_square_parts(truncation):
-    """(A, B, C) with A = 4 xi_00^2, B = 4 xi_01^2 on the doubled grid
-    and C = 4 xi_10^2 on the plain grid.
-
-    xi_ab is the theta constant quotient theta_ab(z)/theta_ab(0); the
-    normalizations make all three into integer series.
-    """
+    """(A, B, C) = 4 xi_00^2, 4 xi_01^2, 4 xi_10^2 on the doubled grid,
+    from theta_00, theta_01 = sum (+-1)^n Q^(n^2) y^n and theta_10 =
+    sum Q^(n(n+1)) y^((2n+1)/2)."""
     M = 2 * truncation
-
-    def doubled(sign):
-        num = _product(M, ([(0, 0, 1), (j, 2, sign)]
-                           for j in range(1, M, 2)))
-        num = num * _product(M, ([(0, 0, 1), (j, -2, sign)]
-                                 for j in range(1, M, 2)))
-        den = _product(M, ([(0, 0, 1), (j, 0, sign)]
-                           for j in range(1, M, 2)))
-        return exact_divide(num * num, den ** 4).scale(4)
-
-    A = doubled(1)
-    B = doubled(-1)
-
-    num = _product(truncation, ([(0, 0, 1), (n, 2, 1)]
-                                for n in range(1, truncation)))
-    num = num * _product(truncation, ([(0, 0, 1), (n, -2, 1)]
-                                      for n in range(1, truncation)))
-    den = _product(truncation, ([(0, 0, 1), (n, 0, 1)]
-                                for n in range(1, truncation)))
-    C = make_series([(0, 2, 1), (0, 0, 2), (0, -2, 1)], truncation)
-    C = C * exact_divide(num * num, den ** 4)
-    return A, B, C
+    return (_xi_square(_theta_sum(M, 0, _one, doubled=True)),
+            _xi_square(_theta_sum(M, 0, doubled=True)),
+            _xi_square(_theta_sum(M, 1, _one, doubled=True)))
 
 
 def _b2_from_parts(A, B, C):
-    return _fold_doubled_q(A + B) + C
+    return _fold_doubled_q(A + B + C)
 
 
 def _b4_from_parts(A, B, C):
-    CQ = _stretch_to_doubled_q(C)
-    S = A * B + (A + B) * CQ
-    return _fold_doubled_q(_scale_exact_div(S, 8))
+    S = A * B + (A + B) * C
+    return _fold_doubled_q(exact_divide(S, QYSeries.one(S.truncation).scale(8)))
 
 
 def gen_b2(truncation):
@@ -157,8 +129,8 @@ def gen_b4(truncation):
     """The index-4 weight-0 generator, q^0 part y + 4 + y^{-1}.
 
     Built from the elementary symmetric combination of the three
-    normalized theta-constant squares: with A, B, C as above this is
-    (AB + BC + CA)/8, whose coefficients are all even.
+    normalized theta squares: with A, B, C as above this is
+    (AB + BC + CA)/8, an exact division.
     """
     return _b4_from_parts(*_xi_square_parts(truncation))
 
@@ -226,8 +198,8 @@ def eisenstein_c6(truncation):
 
 
 def discriminant(truncation):
-    """q prod (1-q^n)^24."""
-    return (_euler(truncation) ** 24).shift_q(1).truncate(truncation)
+    """q prod (1-q^n)^24 = q (eta^3)^8."""
+    return (_eta_cubed(truncation) ** 8).shift_q(1).truncate(truncation)
 
 
 def verify_discriminant_identity(truncation):

@@ -282,18 +282,6 @@ def hermite_normal_form(rows, ncols):
     return [pivots[j] for j in sorted(pivots)]
 
 
-def hnf_reduce(hnf_rows, vec):
-    """Remainder of vec after reduction by an HNF basis (greedy, floor division)."""
-    v = list(vec)
-    for row in hnf_rows:
-        j = next(k for k, x in enumerate(row) if x)
-        if v[j]:
-            q = v[j] // row[j]
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-    return v
-
-
 def in_row_span(hnf_rows, vec):
     """Does vec lie in the lattice spanned by an HNF basis?"""
     v = list(vec)

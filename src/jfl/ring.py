@@ -16,7 +16,7 @@ on the monomials b2^(2m+1) b8^n.
 from functools import lru_cache
 
 from .lattice import FPAbelianGroup, hermite_normal_form, in_row_span
-from .series import QYSeries
+from .series import QYSeries, render_signed_sum
 from .generators import generator_table, stabilizer_power
 
 GENERATOR_DEGREES = (4, 6, 8, 16)  # b2, b3, b4, b8
@@ -71,12 +71,6 @@ class JFElement:
     def graded_component(self, d):
         return JFElement({m: c for m, c in self.coeffs.items()
                           if monomial_degree(m) == d})
-
-    def graded_components(self):
-        out = {}
-        for m, c in self.coeffs.items():
-            out.setdefault(monomial_degree(m), {})[m] = c
-        return {d: JFElement(coeffs) for d, coeffs in sorted(out.items())}
 
     def __eq__(self, other):
         if not isinstance(other, JFElement):
@@ -345,20 +339,7 @@ def _monomial_factors(mono):
 
 def render_element_text(x):
     """Canonical text form, monomials in ascending lexicographic order."""
-    if x.is_zero():
-        return "0"
-    parts = []
-    for mono, c in x.items():
-        factors = _monomial_factors(mono)
-        mag = abs(c)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        body = "*".join(factors)
-        if not parts:
-            parts.append("-" + body if c < 0 else body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+    return render_signed_sum((_monomial_factors(m), c) for m, c in x.items())
 
 
 def render_element_json(x):

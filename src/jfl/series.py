@@ -74,9 +74,6 @@ class QYSeries:
             raise BadExponent("q-exponent %d outside [0, %d)" % (n, self.truncation))
         return {r2: c for (m, r2), c in self._terms.items() if m == n}
 
-    def support_bound(self):
-        return max((abs(r2) for _, r2 in self._terms), default=0)
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -345,23 +342,25 @@ def _q_factor(n):
     return "q" if n == 1 else "q^%d" % n
 
 
-def render_text(f):
-    """Canonical text form: terms by n ascending then r2 ascending."""
-    items = f.terms()
-    if not items:
-        return "0"
+def render_signed_sum(terms):
+    """Join (factors, coeff) pairs as "c*f*g - h + ..."; "0" if none.
+
+    A unit magnitude is left out unless the term has no factors."""
     parts = []
-    for n, r2, c in items:
-        factors = [x for x in (_q_factor(n), _y_factor(r2)) if x]
+    for factors, c in terms:
         mag = abs(c)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        body = "*".join(factors)
+        body = "*".join(([str(mag)] if mag != 1 or not factors else []) + factors)
         if not parts:
             parts.append("-" + body if c < 0 else body)
         else:
             parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+    return "".join(parts) or "0"
+
+
+def render_text(f):
+    """Canonical text form: terms by n ascending then r2 ascending."""
+    return render_signed_sum(([x for x in (_q_factor(n), _y_factor(r2)) if x], c)
+                             for n, r2, c in f.terms())
 
 
 def render_json_dict(f):

@@ -24,12 +24,10 @@ both target tables; with them every cross-check below matches.
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .lattice import (FPAbelianGroup, determinant, hermite_normal_form,
                       kernel_basis, solve_column_combination, transpose)
 from . import ring
-from .ring import JFElement, normal_form
 
 __all__ = [
     "NotAComplex", "UnsupportedDegree", "DEVIATIONS",
@@ -224,12 +222,6 @@ class PageSpec:
     d3: dict
     max_degree: int
 
-    def generator(self, name):
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise KeyError(name)
-
     @property
     def free_names(self):
         return tuple(g.name for g in self.generators if g.torsion_order == 0)
@@ -241,10 +233,6 @@ class PageSpec:
 
 def _mono_key(exps):
     return tuple(sorted((n, e) for n, e in exps.items() if e))
-
-
-def _mono_dict(key):
-    return dict(key)
 
 
 class BigradedPage:
@@ -263,16 +251,8 @@ class BigradedPage:
     def monomial_degree(self, key):
         return sum(self._degree[n] * e for n, e in key)
 
-    def monomial_str(self, key):
-        if not key:
-            return "1"
-        parts = []
-        for name, e in sorted(key, key=lambda p: self._order[p[0]]):
-            parts.append(name if e == 1 else "%s^%d" % (name, e))
-        return "*".join(parts)
-
     def _sort_key(self, key):
-        d = _mono_dict(key)
+        d = dict(key)
         return tuple(-d.get(g.name, 0) for g in self.spec.generators)
 
     def _enumerate(self, names, d):
@@ -364,7 +344,7 @@ class BigradedPage:
             acc[key] = acc.get(key, 0) + c
             if acc[key] == 0:
                 del acc[key]
-            elif _mono_dict(key).get("h1"):
+            elif dict(key).get("h1"):
                 acc[key] %= 2
                 if acc[key] == 0:
                     del acc[key]
@@ -375,7 +355,7 @@ class BigradedPage:
         terms = []
         for k1, c1 in x.items():
             for k2, c2 in y.items():
-                m = _mono_dict(k1)
+                m = dict(k1)
                 for n2, e2 in k2:
                     m[n2] = m.get(n2, 0) + e2
                 terms.append((c1 * c2, m))
@@ -410,7 +390,7 @@ class BigradedPage:
                 acc[k2] = acc.get(k2, 0) + c * c2
                 if not acc[k2]:
                     del acc[k2]
-        return self.normalize([(c, _mono_dict(k)) for k, c in acc.items()])
+        return self.normalize([(c, dict(k)) for k, c in acc.items()])
 
     # ---- differential matrices and homology ----
 
@@ -493,10 +473,11 @@ def msu_sub_page(max_degree):
 
 def msu_page(max_degree):
     # B_{2n}^2 = B2 B_{2n-1}^2 - 4 C_{4n}; expandable while C_{4n} is
-    # tabled, capped either way (None marks a square beyond the table)
+    # tabled, capped either way (None marks a square beyond the table).
+    # B2 is on every page: its d3 = h1^3 is what kills h1^3 in degree 3.
     return _page(
         "msu", max_degree,
-        (("B%d" % n2, 2 * n2) for n2 in range(2, max_degree // 2 + 1)),
+        (("B%d" % n2, 2 * n2) for n2 in range(2, max(max_degree, 4) // 2 + 1)),
         (("C%d" % (4 * n), 8 * n) for n in range(2, max_degree // 8 + 1)),
         (("B%d" % (2 * n),
           _square_rule("B2", "B%d" % (2 * n - 1), "C%d" % (4 * n))

@@ -107,6 +107,12 @@ def test_homotopy_msu_beyond_table(run):
     assert parsed["deviations"] == list(DEVIATIONS)
 
 
+def test_homotopy_msu_below_the_first_generator(run):
+    code, out = run(["homotopy", "--target", "msu", "--max-degree", "3"])
+    assert code == 0
+    assert out.splitlines()[3].split() == ["n=3", "0", "expected", "0", "ok"]
+
+
 def test_surjectivity_ok(run):
     code, out = run(["surjectivity", "--n-param", "1", "--max-degree", "12"])
     assert code == 0

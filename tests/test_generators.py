@@ -1,11 +1,12 @@
 import pytest
 
+from jfl import generators
 from jfl.generators import (CALIBRATION, discriminant, eisenstein_c4,
                             eisenstein_c6, gen_a, gen_b2, gen_b3, gen_b4,
                             gen_b8, generator_table, mf_embedding_report,
                             stabilizer_power, theta_quotient, verify_relation,
                             verify_discriminant_identity, verify_mf_embedding)
-from jfl.series import BadExponent, exact_divide
+from jfl.series import BadExponent, QYSeries, exact_divide, make_series
 
 T = 9  # window wide enough for every identity pinned below
 
@@ -150,3 +151,58 @@ def test_truncation_respected():
     t = generator_table(2)
     with pytest.raises(BadExponent):
         t.b2.q_layer(2)
+
+
+# -- the product formulas the lacunary sums replaced, as an oracle -----
+
+def _product(N, factors):
+    # prod (1 + s q^n y^(r2/2)) over the (n, r2, s) factors
+    acc = QYSeries.one(N)
+    for n, r2, s in factors:
+        acc = acc * make_series([(0, 0, 1), (n, r2, s)], N)
+    return acc
+
+
+def _oracle_theta_block(k, N):
+    # (y^{k/2} - y^{-k/2}) prod (1-q^n)(1-q^n y^k)(1-q^n y^{-k})
+    return make_series([(0, k, 1), (0, -k, -1)], N) * _product(
+        N, [(n, r2, -1) for n in range(1, N) for r2 in (0, 2 * k, -2 * k)])
+
+
+def _oracle_xi_square(M, orders, sign, front):
+    # front * (prod (1 + sign Q^j y^{+-1}) / prod (1 + sign Q^j)^2)^2
+    num = _product(M, [(j, r2, sign) for j in orders for r2 in (2, -2)])
+    den = _product(M, [(j, 0, sign) for j in orders])
+    return front * exact_divide(num * num, den ** 4)
+
+
+def _stretch(f):
+    # q^n -> Q^(2n)
+    return make_series([(2 * n, r2, c) for n, r2, c in f.terms()],
+                       2 * f.truncation)
+
+
+# 1 and 13 put a lacunary term at the last order kept (q^0, Q^25)
+@pytest.mark.parametrize("N", [1, 13, 33])
+def test_lacunary_sums_match_product_formulas(N):
+    M = 2 * N
+    blocks = {k: _oracle_theta_block(k, N) for k in (1, 2, 3)}
+    eta3 = _product(N, [(n, 0, -1) for n in range(1, N) for _ in range(3)])
+    assert generators._eta_cubed(N) == eta3
+    for k, block in blocks.items():
+        assert generators._theta_block(k, N) == block
+    odd, even = range(1, M, 2), range(2, M, 2)
+    A, B, C = parts = (
+        _oracle_xi_square(M, odd, 1, 4),
+        _oracle_xi_square(M, odd, -1, 4),
+        _oracle_xi_square(M, even, 1, make_series([(0, 2, 1), (0, 0, 2),
+                                                   (0, -2, 1)], M)))
+    assert generators._xi_square_parts(N) == parts
+
+    t = generator_table(N)
+    assert t.a == exact_divide(blocks[1], eta3)
+    assert t.b3 == exact_divide(blocks[2], blocks[1])
+    assert t.b8 == exact_divide(blocks[3], blocks[1])
+    assert _stretch(t.b2) == A + B + C
+    assert _stretch(t.b4).scale(8) == A * B + (A + B) * C
+    assert discriminant(N) == (eta3 ** 8).shift_q(1).truncate(N)

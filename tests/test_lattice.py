@@ -1,9 +1,9 @@
 import pytest
 
 from jfl.lattice import (FPAbelianGroup, determinant, hermite_normal_form,
-                         hnf_reduce, identity_matrix, in_row_span,
-                         invariant_factors, kernel_basis, mat_mul, mat_vec,
-                         rank, smith_normal_form, snf_diagonal,
+                         identity_matrix, in_row_span, invariant_factors,
+                         kernel_basis, mat_mul, mat_vec, rank,
+                         smith_normal_form, snf_diagonal,
                          solve_column_combination, transpose, xgcd)
 from property_suites import snf_postconditions
 
@@ -71,7 +71,6 @@ def test_hermite_normal_form_is_canonical():
     for r in rows:
         assert in_row_span(h, r)
     assert not in_row_span(h, [1, 0])
-    assert hnf_reduce(h, [3, 5]) == [1, 1]
 
 
 def test_invariant_factors():
