@@ -182,24 +182,29 @@ def kernel_basis(mat, ncols=None):
     return [[V[i][j] for i in range(n)] for j in range(r, n)]
 
 
-def solve_column_combination(mat, target):
-    """An integer x with mat @ x == target, or None if no solution exists."""
+def solve_column_combination(mat, targets):
+    """For each target, an integer x with mat @ x == target, or None if
+    no solution exists; one Smith form of mat serves every target."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     if m == 0:
-        return []
+        return [[] for _ in targets]
     U, D, V = smith_normal_form(mat)
-    u = mat_vec(U, target)
-    y = [0] * n
-    for i in range(m):
-        d = D[i][i] if i < n else 0
-        if d:
-            if u[i] % d:
+    diag = [D[i][i] if i < n else 0 for i in range(m)]
+
+    def solve(target):
+        u = mat_vec(U, target)
+        y = [0] * n
+        for i, d in enumerate(diag):
+            if d:
+                if u[i] % d:
+                    return None
+                y[i] = u[i] // d
+            elif u[i]:
                 return None
-            y[i] = u[i] // d
-        elif u[i]:
-            return None
-    return mat_vec(V, y)
+        return mat_vec(V, y)
+
+    return [solve(t) for t in targets]
 
 
 def determinant(mat):

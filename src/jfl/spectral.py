@@ -10,7 +10,18 @@ Realized bases per (degree, filtration) split into a free sector
 (filtration 0, monomials in the free generators) and 2-torsion sectors
 (filtration s >= 1, h1^s times monomials in the h1-survivors).
 Homology is computed by exact integer linear algebra via homology_at,
-which accepts arbitrary finitely generated chain groups.
+which accepts arbitrary finitely generated chain groups.  It stays
+exact over Z and takes two shortcuts, both inside homology_at:
+  full rank   a free middle group with nothing coming in and a
+              pure-torsion target (every filtration-0 bidegree of
+              these pages) has homology Z^n, since the kernel of
+              Z^n -> (+) Z/t has finite index; the kernel lattice is
+              not built
+  one Smith   the middle group's relations and the incoming image are
+              rewritten in kernel coordinates by one Smith form of
+              the kernel basis per bidegree, not one per vector
+Bases come from one enumeration per page, memoized on (generator
+position, degree left) and built as immutable monomial keys.
 
 Three conventions here go beyond the literally printed relation lists
 of the source presentations; every report carries them:
@@ -54,12 +65,25 @@ class UnsupportedDegree(ValueError):
     """A degree bound exceeds the generator table or the global guard."""
 
 
-def max_degree_guard():
+def _guard_setting():
+    """(guard, hint): the effective guard, and the hint an over-guard
+    error carries, which says so when JFL_MAX_DEGREE_GUARD was ignored."""
     raw = os.environ.get("JFL_MAX_DEGREE_GUARD", "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_DEGREE_GUARD
+        value = int(raw) if raw else DEFAULT_MAX_DEGREE_GUARD
     except ValueError:
-        return DEFAULT_MAX_DEGREE_GUARD
+        value = -1
+    if value < 0:
+        return DEFAULT_MAX_DEGREE_GUARD, (
+            "JFL_MAX_DEGREE_GUARD=%r is not a nonnegative integer; "
+            "default used" % raw)
+    return value, "set JFL_MAX_DEGREE_GUARD to raise"
+
+
+def max_degree_guard():
+    """The effective guard: JFL_MAX_DEGREE_GUARD if it is a nonnegative
+    integer, else the default."""
+    return _guard_setting()[0]
 
 
 def check_guard(value, what="degree bound"):
@@ -67,11 +91,10 @@ def check_guard(value, what="degree bound"):
     naming the bound as `what`."""
     if value < 0:
         raise UnsupportedDegree("%s %d is negative" % (what, value))
-    cap = max_degree_guard()
+    cap, hint = _guard_setting()
     if value > cap:
         raise UnsupportedDegree(
-            "%s %d exceeds guard %d (set JFL_MAX_DEGREE_GUARD to raise)"
-            % (what, value, cap))
+            "%s %d exceeds guard %d (%s)" % (what, value, cap, hint))
     return value
 
 
@@ -155,7 +178,10 @@ def homology_at(chain):
     Works for mixed free/torsion chain groups: kernels are taken as
     preimages of the target's relation lattice, the incoming image and
     the middle group's own relations are rewritten in kernel
-    coordinates, and the invariant factors are read off Smith form.
+    coordinates (all against one Smith form of the kernel basis), and
+    the invariant factors are read off Smith form.  A free middle group
+    with nothing coming in and a pure-torsion target has homology
+    Z^mid.dim, answered without building the kernel lattice.
     """
     prev, mid, nxt = chain.prev, chain.mid, chain.nxt
     d_in = [list(r) for r in chain.d_in]
@@ -163,17 +189,22 @@ def homology_at(chain):
     m = mid.dim
     if m == 0:
         return FPAbelianGroup(0)
-    if prev.dim and d_in:
+    incoming = bool(prev.dim and d_in)
+    if incoming:
         _check_respects_torsion(d_in, prev, mid, "incoming matrix")
     if mid.torsion and d_out:
         _check_respects_torsion(d_out, mid, nxt, "outgoing matrix")
 
-    if prev.dim and d_in and d_out:
+    if incoming and d_out:
         for j in range(prev.dim):
             col = [sum(d_out[i][k] * d_in[k][j] for k in range(m))
                    for i in range(nxt.dim)]
             if not _column_vanishes(col, nxt):
                 raise NotAComplex("composite is nonzero at source coordinate %d" % j)
+
+    if not mid.torsion and not incoming and nxt.free_rank == 0:
+        # the kernel of Z^m -> (+) Z/t has finite index, so it is Z^m
+        return FPAbelianGroup(m)
 
     kbasis = preimage_lattice(d_out, m, nxt)
     k = len(kbasis)
@@ -181,17 +212,16 @@ def homology_at(chain):
         return FPAbelianGroup(0)
 
     relation_vectors = mid.relation_rows()
-    if prev.dim and d_in:
+    if incoming:
         for j in range(prev.dim):
             relation_vectors.append([d_in[i][j] for i in range(m)])
+    if not relation_vectors:
+        # nothing to solve: skip the Smith form of a possibly huge basis
+        return FPAbelianGroup(k)
 
-    bt = transpose(kbasis)
-    rows = []
-    for v in relation_vectors:
-        y = solve_column_combination(bt, v)
-        if y is None:
-            raise NotAComplex("image vector falls outside the kernel lattice")
-        rows.append(y)
+    rows = solve_column_combination(transpose(kbasis), relation_vectors)
+    if any(y is None for y in rows):
+        raise NotAComplex("image vector falls outside the kernel lattice")
     return FPAbelianGroup.from_presentation(k, rows)
 
 
@@ -245,6 +275,7 @@ class BigradedPage:
         self._order = {g.name: i for i, g in enumerate(spec.generators)}
         self._basis_cache = {}
         self._matrix_cache = {}
+        self._enum_memo = {}
 
     # ---- monomials ----
 
@@ -256,22 +287,38 @@ class BigradedPage:
         return tuple(-d.get(g.name, 0) for g in self.spec.generators)
 
     def _enumerate(self, names, d):
-        # all exponent assignments over `names` of total degree d, caps applied
-        if d == 0:
-            return [{}]
-        if d < 0 or not names:
-            return []
-        name, rest = names[0], names[1:]
-        w = self._degree[name]
-        cap = 1 if name in self.spec.rewrite_rules else d // w
-        out = []
-        for e in range(min(cap, d // w) + 1):
-            for tail in self._enumerate(rest, d - e * w):
-                if e:
-                    tail = dict(tail)
-                    tail[name] = e
-                out.append(tail)
-        return out
+        """Monomial keys over `names` of total degree d, caps applied.
+
+        The names are walked in sorted order, so prepending a factor to
+        a tail keeps every key canonical; the tuple of keys for each
+        (position, degree left) is built once per page and shared.
+        """
+        names = tuple(sorted(names))
+        memo = self._enum_memo.setdefault(names, {})
+        degree, capped = self._degree, self.spec.rewrite_rules
+
+        def tails(i, d):
+            hit = memo.get((i, d))
+            if hit is not None:
+                return hit
+            if d == 0:
+                out = ((),)
+            elif i == len(names):
+                out = ()
+            else:
+                name = names[i]
+                w = degree[name]
+                top = d // w
+                if name in capped:
+                    top = min(top, 1)
+                out = list(tails(i + 1, d))
+                for e in range(1, top + 1):
+                    out.extend(((name, e),) + t for t in tails(i + 1, d - e * w))
+                out = tuple(out)
+            memo[(i, d)] = out
+            return out
+
+        return tails(0, d) if d >= 0 else ()
 
     def basis(self, d, s):
         """Ordered monomials at (degree, filtration); filtration 0 is the
@@ -282,16 +329,11 @@ class BigradedPage:
         if d < 0 or s < 0:
             mons = ()
         elif s == 0:
-            mons = tuple(sorted((_mono_key(e) for e in
-                                 self._enumerate(self.spec.free_names, d)),
-                                key=self._sort_key))
+            mons = self._enumerate(self.spec.free_names, d)
         else:
-            mons = []
-            for e in self._enumerate(self.spec.survivor_names, d - s):
-                e = dict(e)
-                e["h1"] = s
-                mons.append(_mono_key(e))
-            mons = tuple(sorted(mons, key=self._sort_key))
+            mons = [tuple(sorted(key + (("h1", s),)))
+                    for key in self._enumerate(self.spec.survivor_names, d - s)]
+        mons = tuple(sorted(mons, key=self._sort_key))
         self._basis_cache[ck] = mons
         return mons
 

@@ -176,6 +176,26 @@ def test_degree_guard_and_override(run, monkeypatch):
     assert code == 0
 
 
+def test_guard_error_names_a_valid_override(run, monkeypatch):
+    monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "128")
+    code, out = run(["homotopy", "--target", "msu", "--max-degree", "200"])
+    assert (code, out) == (2, "error: max degree 200 exceeds guard 128 "
+                              "(set JFL_MAX_DEGREE_GUARD to raise)\n")
+
+
+def test_guard_error_reports_an_ignored_override(run, monkeypatch):
+    for raw in ("abc", "-5"):
+        monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", raw)
+        code, out = run(["homotopy", "--target", "msu", "--max-degree", "200"])
+        assert (code, out) == (
+            2, "error: max degree 200 exceeds guard 64 "
+               "(JFL_MAX_DEGREE_GUARD=%r is not a nonnegative integer; "
+               "default used)\n" % raw)
+        # the default guard applies below it
+        code, _ = run(["homotopy", "--target", "msu", "--max-degree", "4"])
+        assert code == 0
+
+
 def test_negative_max_degree_is_an_error(run):
     code, out = run(["homotopy", "--target", "msu", "--max-degree", "-1"])
     assert (code, out) == (2, "error: max degree -1 is negative\n")

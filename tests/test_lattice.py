@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from jfl.lattice import (FPAbelianGroup, determinant, hermite_normal_form,
@@ -49,10 +51,51 @@ def test_kernel_basis_annihilates():
 
 def test_solve_column_combination():
     mat = [[2, 0], [0, 3]]
-    assert solve_column_combination(mat, [4, 9]) == [2, 3]
-    assert solve_column_combination(mat, [1, 0]) is None
     # target zero is always solvable
-    assert solve_column_combination(mat, [0, 0]) == [0, 0]
+    assert solve_column_combination(mat, [[4, 9], [1, 0], [0, 0]]) == [
+        [2, 3], None, [0, 0]]
+
+
+def _random_unimodular(rng, n):
+    u = identity_matrix(n)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.randint(-2, 2)
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        else:
+            u[i] = [-x for x in u[i]]
+    return u
+
+
+def test_solve_column_combination_batches():
+    # mat = U diag(d) V with U, V unimodular, so the lattice is known:
+    # U (diag(d) y + e_i) lies off it whenever d_i != 1
+    rng = random.Random(5)
+    for _ in range(200):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        diag = sorted(rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(min(m, n)))
+        diag = [d if rng.random() < 0.8 else 0 for d in diag]
+        d_mat = [[diag[i] if i == j else 0 for j in range(n)] for i in range(m)]
+        u = _random_unimodular(rng, m)
+        mat = mat_mul(mat_mul(u, d_mat), _random_unimodular(rng, n))
+        on = [mat_vec(mat, [rng.randint(-3, 3) for _ in range(n)])
+              for _ in range(3)]
+        off = []
+        for i in range(m):
+            if i >= len(diag) or diag[i] != 1:
+                y = [rng.randint(-3, 3) for _ in range(m)]
+                y = [d * v for d, v in zip(diag, y)] + [0] * (m - len(diag))
+                y[i] += 1
+                off.append(mat_vec(u, y))
+        targets = on + off
+        got = solve_column_combination(mat, targets)
+        assert len(got) == len(targets)
+        for target, x in zip(targets, got):
+            if x is not None:
+                assert mat_vec(mat, x) == target
+        assert all(x is not None for x in got[:len(on)])
+        assert all(x is None for x in got[len(on):])
 
 
 def test_determinant():

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from jfl import ring, spectral
@@ -8,7 +11,7 @@ from jfl.spectral import (DEVIATIONS, TRIVIAL_GROUP, ChainGroup, ChainSlice,
                           expected_tjf_group,
                           free_kernel_lattice, group_to_json, homology_at,
                           homotopy_groups, msu_page, msu_sub_page,
-                          surjectivity_check, tjf_page)
+                          preimage_lattice, surjectivity_check, tjf_page)
 from property_suites import d3_squared_zero, signed_leibniz
 
 Z = ChainGroup(1)
@@ -60,6 +63,13 @@ class TestHomologyAt:
         h = homology_at(_slice(prev=Z, d_in=((2,),), mid=Z,
                                d_out=((1,),), nxt=Z2))
         assert h.is_trivial
+
+    def test_free_into_mixed_target_is_not_full_rank(self):
+        # (x, y) -> (x + y, x mod 2) into Z + Z/2: the kernel is the line
+        # spanned by (2, -2), so a full-rank answer Z^2 would be wrong
+        h = homology_at(_slice(mid=ChainGroup(2), d_out=((1, 1), (1, 0)),
+                               nxt=ChainGroup(1, (2,))))
+        assert h == FPAbelianGroup(1)
 
 
 def _key(**exps):
@@ -153,6 +163,55 @@ def test_expected_tjf_group_pins():
     assert expected_tjf_group(25) == FPAbelianGroup(0, (2, 2))
 
 
+def _enumerate_oracle(page, names, d):
+    # the recursive enumeration the memoized one replaced
+    if d == 0:
+        return [{}]
+    if d < 0 or not names:
+        return []
+    name, rest = names[0], names[1:]
+    w = page._degree[name]
+    cap = 1 if name in page.spec.rewrite_rules else d // w
+    out = []
+    for e in range(min(cap, d // w) + 1):
+        for tail in _enumerate_oracle(page, rest, d - e * w):
+            if e:
+                tail = dict(tail)
+                tail[name] = e
+            out.append(tail)
+    return out
+
+
+def _basis_oracle(page, d, s):
+    if s == 0:
+        exps = _enumerate_oracle(page, page.spec.free_names, d)
+    else:
+        exps = [dict(e, h1=s) for e in
+                _enumerate_oracle(page, page.spec.survivor_names, d - s)]
+    keys = (tuple(sorted((n, e) for n, e in x.items() if e)) for x in exps)
+    return tuple(sorted(keys, key=page._sort_key))
+
+
+@pytest.mark.parametrize("page_of", [tjf_page, msu_page])
+def test_basis_matches_recursive_enumeration(page_of):
+    page = page_of(spectral.DEFAULT_MAX_DEGREE_GUARD)
+    for d in range(page.max_degree + 1):
+        for s in range(d + 1):
+            assert page.basis(d, s) == _basis_oracle(page, d, s), (d, s)
+
+
+@pytest.mark.parametrize("page_of, max_degree",
+                         [(tjf_page, 64), (msu_page, 40)])
+def test_free_homology_is_the_kernel_lattice_rank(page_of, max_degree):
+    # the full-rank answer against the kernel lattice it skips
+    page = page_of(max_degree)
+    for d in range(max_degree + 1):
+        kernel = preimage_lattice([list(r) for r in page.d3_matrix(d, 0)],
+                                  len(page.basis(d, 0)),
+                                  page.chain_group(d - 1, 3))
+        assert page.homology(d, 0) == FPAbelianGroup(len(kernel)), d
+
+
 class TestMsuPage:
     def test_generator_roster(self):
         page = msu_page(16)
@@ -175,6 +234,18 @@ class TestMsuPage:
         assert all(r["match"] for r in report["rows"])
         assert report["deviations_adopted"] == list(DEVIATIONS)
         assert all("deviations_adopted" not in r for r in report["rows"])
+
+    def test_homotopy_pinned_through_default_guard(self):
+        # (n, rank, number of Z/2 summands), computed before the bases
+        # were memoized and the free slices short-cut
+        pins = json.loads(
+            Path(__file__).with_name("msu_homotopy_64.json").read_text())
+        _, rows, _ = compare_homotopy("msu", spectral.DEFAULT_MAX_DEGREE_GUARD)
+        assert all(set(r["torsion"]) <= {2} for r in rows)
+        got = [[r["n"], r["rank"], len(r["torsion"])] for r in rows]
+        assert got == pins
+        assert sum(p[1] for p in pins) == 8349
+        assert sum(p[2] for p in pins) == 90
 
     def test_below_the_first_generator(self):
         # B2 (degree 4) is on every page, so h1^3 dies in degree 3 too
@@ -250,8 +321,9 @@ class TestDegreeGuard:
             tjf_page(16)
 
     def test_bad_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "not-a-number")
-        assert spectral.max_degree_guard() == spectral.DEFAULT_MAX_DEGREE_GUARD
+        for raw in ("not-a-number", "-3"):
+            monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", raw)
+            assert spectral.max_degree_guard() == spectral.DEFAULT_MAX_DEGREE_GUARD
 
 
 def test_d3_property_suites():
