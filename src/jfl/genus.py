@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ring import JFElement, normal_form
+from .spectral import _substitution_images
 
 __all__ = [
     "UnsupportedDim", "NonIntegralGenus", "ChernData",
@@ -187,17 +188,13 @@ def elliptic_genus(data):
 def generator_genus_table(n_param):
     """Genus values on the minimal generator classes through degree 16.
 
-    Computed multiplicatively from the base values, carrying b2 as a
-    bookkeeping image for the half class; every entry lands in the
-    index-congruence image lattice for any integer choice of the
-    undetermined parameter.
+    Computed multiplicatively from the comparison substitution phi_N
+    of the surjectivity check, carrying b2 as a bookkeeping image for
+    the half class; every entry lands in the index-congruence image
+    lattice for any integer choice of the undetermined parameter.
     """
-    b2 = normal_form({(1, 0, 0, 0): 1})
-    b3 = normal_form({(0, 1, 0, 0): 1})
-    base_b4 = normal_form({(0, 0, 1, 0): -1, (2, 0, 0, 0): 2 * n_param})
-    base_c8 = normal_form({(0, 0, 0, 1): -1,
-                           (2, 0, 1, 0): -n_param,
-                           (4, 0, 0, 0): n_param * n_param})
+    images = _substitution_images(n_param)
+    b2, b3, base_b4 = images["B2"], images["B3"], images["B4"]
     return {
         "[2B2]": b2.scale(2),
         "[B3]": b3,
@@ -212,7 +209,7 @@ def generator_genus_table(n_param):
         "[B2^4]": b2 ** 4,
         "[B2^2B4]": b2 * b2 * base_b4,
         "[B2B3^2]": b2 * b3 * b3,
-        "[C8]": base_c8,
+        "[C8]": images["C8"],
     }
 
 

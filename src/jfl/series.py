@@ -9,6 +9,13 @@ therefore truncate to the smaller precision of their operands.
 
 All coefficients are exact Python ints.  Values are immutable; every
 operation returns a fresh series.
+
+Products run one q-layer at a time.  Each q-layer is packed into a
+single int by Kronecker substitution in y, so a layer-pair product is
+one big-int multiplication in C.  The digit width is fixed per product
+from a bound on every output coefficient, so the packed digits never
+carry into each other and the product is exact over Z (see
+``QYSeries.__mul__``).
 """
 
 
@@ -123,26 +130,62 @@ class QYSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product, one packed q-layer at a time.
+
+        Each q-layer is packed into one int (Kronecker substitution in
+        y): the term c y^(r2/2) becomes the digit c at position
+        (r2 - lo)/2 in base 2^w, lo being the operand's least r2.
+        Output layer n is then the plain int sum of A_i * B_(n-i).
+
+        The product is exact.  An output coefficient sums at most
+        trunc layer pairs, and in each pair at most min(terms per layer
+        of either operand) digit products, each at most max|a| max|b|
+        in size.  w is that bound's bit length plus a sign bit, so every
+        output digit lies strictly inside (-2^(w-1), 2^(w-1)).  Adding
+        2^(w-1) to every digit therefore makes all digits nonnegative
+        and below 2^w without a carry, and each digit is read back from
+        its own w-bit slice.
+        """
         if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, QYSeries):
             return NotImplemented
         trunc = min(self.truncation, other.truncation)
         parity = (self.parity + other.parity) % 2
+        a_layers = _q_layers(self, trunc)
+        b_layers = _q_layers(other, trunc)
+        if not any(a_layers) or not any(b_layers):
+            return QYSeries({}, trunc, parity)
+        bound = (max(abs(c) for layer in a_layers for c in layer.values())
+                 * max(abs(c) for layer in b_layers for c in layer.values())
+                 * trunc * min(max(map(len, a_layers)), max(map(len, b_layers))))
+        size = bound.bit_length() // 8 + 1  # bytes per digit, sign bit included
+        w = 8 * size
+        a_lo, a_packed = _pack_layers(a_layers, w)
+        b_lo, b_packed = _pack_layers(b_layers, w)
+        lo = a_lo + b_lo
+        half = 1 << (w - 1)
+        blank = half.to_bytes(size, "little")
+        a_nonzero = [(i, x) for i, x in enumerate(a_packed) if x]
         out = {}
-        for (n1, r1), c1 in self._terms.items():
-            if n1 >= trunc:
+        for n in range(trunc):
+            acc = 0
+            for i, x in a_nonzero:
+                if i > n:
+                    break
+                y = b_packed[n - i]
+                if y:
+                    acc += x * y
+            if not acc:
                 continue
-            for (n2, r2), c2 in other._terms.items():
-                n = n1 + n2
-                if n >= trunc:
-                    continue
-                key = (n, r1 + r2)
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
+            # bias every digit by 2^(w-1); blank slices are zero digits
+            digits = (acc.bit_length() + w) // w
+            raw = (acc + int.from_bytes(blank * digits, "little")).to_bytes(
+                digits * size, "little")
+            for k in range(digits):
+                chunk = raw[k * size:(k + 1) * size]
+                if chunk != blank:
+                    out[(n, lo + 2 * k)] = int.from_bytes(chunk, "little") - half
         return QYSeries(out, trunc, parity)
 
     def __rmul__(self, other):
@@ -190,6 +233,22 @@ class QYSeries:
         for (n, _), c in self._terms.items():
             out[n] += c
         return out
+
+
+def _q_layers(series, trunc):
+    """The terms below q^trunc as a list of maps r2 -> coeff, one per order."""
+    layers = [{} for _ in range(trunc)]
+    for (n, r2), c in series._terms.items():
+        if n < trunc:
+            layers[n][r2] = c
+    return layers
+
+
+def _pack_layers(layers, w):
+    """(lo, [sum of c << w (r2 - lo)/2 per layer]), lo the least r2."""
+    lo = min(min(layer) for layer in layers if layer)
+    return lo, [sum(c << (w * ((r2 - lo) >> 1)) for r2, c in layer.items())
+                for layer in layers]
 
 
 def _joint_parity(f, g):
@@ -286,15 +345,9 @@ def exact_divide(f, g):
     out_trunc = trunc - g_order
     if out_trunc < 1:
         raise NonDivisible("no quotient precision left after order shift")
-    g_layers = [{} for _ in range(trunc)]
-    for (n, r2), c in g._terms.items():
-        if n < trunc:
-            g_layers[n][r2] = c
+    g_layers = _q_layers(g, trunc)
     lead = g_layers[g_order]
-    f_layers = [{} for _ in range(trunc)]
-    for (n, r2), c in f._terms.items():
-        if n < trunc:
-            f_layers[n][r2] = c
+    f_layers = _q_layers(f, trunc)
     if any(f_layers[n] for n in range(min(g_order, trunc))):
         raise NonDivisible("numerator has lower q-order than denominator")
 

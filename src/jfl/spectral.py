@@ -684,20 +684,35 @@ def check_tjf_groups(max_degree=24):
 # -- the surjectivity verification ----------------------------------------
 
 def _substitution_images(n_param):
-    b2, b3, b4, b8 = ring.B2, ring.B3, ring.B4, ring.B8
-    return {
-        "B2": b2,
-        "B3": b3,
-        "B4": -b4 + b2 * b2 * (2 * n_param),
-        "C8": -b8 - b2 * b2 * b4 * n_param + (b2 ** 4) * (n_param * n_param),
-    }
+    """phi_N on the sub-page generators.  phi_N(C8) is solved from the
+    page's relation B4^2 = B2 B3^2 - 4 C8, so phi_N respects it:
+    phi_N(C8) = b8 + N b2^2 b4 - N^2 b2^4."""
+    b2, b3 = ring.B2, ring.B3
+    b4 = -ring.B4 + b2 * b2 * (2 * n_param)
+    quarter = {}
+    for mono, c in (b2 * b3 * b3 - b4 * b4).coeffs.items():
+        quarter[mono], rem = divmod(c, 4)
+        if rem:
+            raise ArithmeticError("phi_N(C8) is not integral at %s" % (mono,))
+    return {"B2": b2, "B3": b3, "B4": b4, "C8": ring.JFElement(quarter)}
+
+
+def _image(images, factors):
+    elem = ring.ONE
+    for name, e in factors:
+        elem = elem * images[name] ** e
+    return elem
+
+
+def _respects_rule(images, name, rule):
+    """Whether images[name]^2 equals the image of its rewrite rule."""
+    return images[name] ** 2 == sum(
+        (_image(images, mono.items()).scale(c) for c, mono in rule),
+        ring.JFElement({}))
 
 
 def _free_image_vector(images, mono, d):
-    elem = ring.ONE
-    for name, e in mono:
-        elem = elem * images[name] ** e
-    return ring.element_coords(elem, d)
+    return ring.element_coords(_image(images, mono), d)
 
 
 def _torsion_image_vector(images, mono, target_basis):
@@ -723,14 +738,19 @@ def _torsion_image_vector(images, mono, target_basis):
 def surjectivity_check(n_param, max_degree):
     """Verify the five-generator sub-page maps isomorphically per bidegree.
 
-    Free sectors must have unimodular integer matrices, torsion sectors
-    must be bijective mod 2, and the differential must commute with the
+    The substitution must respect the sub-page's rewrite rule, free
+    sectors must have unimodular integer matrices, torsion sectors must
+    be bijective mod 2, and the differential must commute with the
     substitution.  Returns a report with the first failing bidegree if
     any.
     """
     sub = msu_sub_page(max_degree)
     target = tjf_page(max_degree)
     images = _substitution_images(n_param)
+    # a rewrite rule acts first in twice its generator's degree; the
+    # normal-form bases below never show it, so it is checked there
+    rules = [(2 * g.degree, g.name, sub.spec.rewrite_rules[g.name])
+             for g in sub.spec.generators if g.name in sub.spec.rewrite_rules]
     checked = 0
     failure = None
 
@@ -739,6 +759,12 @@ def surjectivity_check(n_param, max_degree):
 
     for d in range(max_degree + 1):
         if failure:
+            break
+        broken = [name for rd, name, rule in rules
+                  if rd == d and not _respects_rule(images, name, rule)]
+        if broken:
+            failure = fail(d, 0, "substitution breaks the rewrite rule of "
+                           + ", ".join(broken))
             break
         for s in range(d + 1):
             src = sub.basis(d, s)

@@ -22,6 +22,93 @@ def random_series(rng, truncation, parity, max_terms=6):
     return make_series(entries, truncation, parity=parity)
 
 
+def dict_product(f, g):
+    """The product as a double loop over the terms: the oracle for the
+    packed q-layer product in QYSeries.__mul__."""
+    trunc = min(f.truncation, g.truncation)
+    out = {}
+    for (n1, r1), c1 in f._terms.items():
+        if n1 >= trunc:
+            continue
+        for (n2, r2), c2 in g._terms.items():
+            n = n1 + n2
+            if n >= trunc:
+                continue
+            key = (n, r1 + r2)
+            v = out.get(key, 0) + c1 * c2
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    return QYSeries(out, trunc, (f.parity + g.parity) % 2)
+
+
+def _assert_same_product(f, g):
+    want = dict_product(f, g)
+    for got in (f * g, g * f):
+        assert got == want
+        assert got.truncation == want.truncation
+        assert got.parity == want.parity
+
+
+def packed_product_matches_dict(cases=1000, seed=20260824):
+    # wide coefficients and y-ranges, unequal truncations; terms of the
+    # longer operand often sit at or past the shorter one's truncation
+    rng = random.Random(seed)
+    done = 0
+    for _ in range(cases):
+        operands = []
+        for _ in range(2):
+            t = rng.randrange(1, 21)
+            p = rng.randrange(2)
+            mag = rng.choice((9, 10 ** 6, 10 ** 30))
+            size = rng.choice((0, 1, rng.randrange(2, 16)))
+            entries = [(rng.randrange(t), 2 * rng.randrange(-10, 11) + p,
+                        rng.randrange(-mag, mag + 1)) for _ in range(size)]
+            operands.append(make_series(entries, t, parity=p))
+        _assert_same_product(*operands)
+        done += 1
+    return done
+
+
+def packed_width_edges(max_bits=40):
+    """Full layers of (2^k - 1) times full layers of +-(2^k - 1).
+
+    The middle coefficient of the last layer is then exactly +-bound,
+    where bound = max|a| max|b| trunc (layer length) is what sets the
+    packed digit width; as k grows its bit length crosses every byte
+    edge.  Returns the number of products checked.
+    """
+    done = 0
+    edges = set()
+    for k in range(1, max_bits + 1):
+        m = (1 << k) - 1
+        for length, trunc in ((1, 1), (2, 3), (5, 4), (8, 8)):
+            bound = m * m * length * trunc
+            edges.add(bound.bit_length() % 8)
+            for pa, pb in ((0, 0), (1, 1), (0, 1)):
+                a = make_series([(n, 2 * d + pa, m) for n in range(trunc)
+                                 for d in range(length)], trunc, parity=pa)
+                for sign in (1, -1):
+                    b = make_series([(n, 2 * d - pb, sign * m)
+                                     for n in range(trunc)
+                                     for d in range(length)],
+                                    trunc, parity=pb)
+                    top = a * b
+                    assert top.coefficient(trunc - 1, 2 * length - 2 + pa - pb) \
+                        == sign * bound
+                    _assert_same_product(a, b)
+                    done += 1
+    assert edges == set(range(8))
+    # a top digit 1 over a negative digit packs to fewer bits than its
+    # position: y - 1 packs to 2^w - 1
+    for c in (1, -1):
+        _assert_same_product(make_series([(0, 2, c), (0, 0, -c)], 1),
+                             QYSeries.one(1))
+        done += 1
+    return done
+
+
 def series_ring_axioms(cases=1000, seed=20260818):
     rng = random.Random(seed)
     done = 0

@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import mul
+
 import pytest
 
 from jfl import generators
@@ -7,6 +10,8 @@ from jfl.generators import (CALIBRATION, discriminant, eisenstein_c4,
                             stabilizer_power, theta_quotient, verify_relation,
                             verify_discriminant_identity, verify_mf_embedding)
 from jfl.series import BadExponent, QYSeries, exact_divide, make_series
+from jfl.spectral import DEFAULT_MAX_DEGREE_GUARD
+from property_suites import dict_product
 
 T = 9  # window wide enough for every identity pinned below
 
@@ -136,6 +141,21 @@ def test_mf_embedding_report():
     assert set(report) == {"c4", "c6", "delta", "mf_relation"}
     assert all(report.values())
     assert verify_mf_embedding(T)
+
+
+def test_identities_at_the_default_guard():
+    # the widest window a guarded `verify --qmax` can ask for
+    N = DEFAULT_MAX_DEGREE_GUARD
+    assert verify_relation(N)
+    assert mf_embedding_report(N) == {"c4": True, "c6": True,
+                                      "delta": True, "mf_relation": True}
+    t = generator_table(N)
+    a2 = dict_product(t.a, t.a)
+    a4 = dict_product(a2, a2)
+    assert t.a ** 12 == dict_product(dict_product(a4, a4), a4)
+    for factors in ((t.b2, t.b2, t.b8), (t.b4, t.b4, t.b4),
+                    (t.b2, t.b3, t.b3, t.b4)):
+        assert reduce(mul, factors) == reduce(dict_product, factors)
 
 
 def test_generator_functions_match_table(tab):

@@ -140,8 +140,9 @@ def test_generator_genus_table_shape():
     }
     assert table["[2B2]"] == B2.scale(2)
     assert table["[B4]"] == normal_form({(0, 0, 1, 0): -1, (2, 0, 0, 0): 2})
-    assert table["[C8]"] == normal_form({(0, 0, 0, 1): -1, (2, 0, 1, 0): -1,
-                                         (4, 0, 0, 0): 1})
+    # phi_1(C8) = (b2 b3^2 - phi_1(B4)^2) / 4 = b8 + b2^2 b4 - b2^4
+    assert table["[C8]"] == normal_form({(0, 0, 0, 1): 1, (2, 0, 1, 0): 1,
+                                         (4, 0, 0, 0): -1})
 
 
 def test_generator_genus_table_lands_in_image():

@@ -3,7 +3,9 @@ import pytest
 from jfl.series import (BadExponent, MixedParity, NonDivisible, QYSeries,
                         exact_divide, make_series, render_json_dict,
                         render_text, series_from_json_dict)
-from property_suites import exact_divide_round_trips, series_ring_axioms
+from property_suites import (exact_divide_round_trips,
+                             packed_product_matches_dict, packed_width_edges,
+                             series_ring_axioms)
 
 
 def test_make_series_accumulates_duplicates():
@@ -163,3 +165,11 @@ def test_ring_axiom_suite():
 
 def test_exact_divide_suite():
     assert exact_divide_round_trips(1000) >= 1000
+
+
+def test_packed_product_matches_dict_product():
+    assert packed_product_matches_dict(1000) >= 1000
+
+
+def test_packed_product_at_the_digit_width_edge():
+    assert packed_width_edges() >= 960

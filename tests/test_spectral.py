@@ -298,6 +298,28 @@ class TestSurjectivity:
         assert failure["degree"] == 8 and failure["filtration"] == 0
         assert "determinant" in failure["reason"]
 
+    @pytest.mark.parametrize("n", [-3, 0, 1, 2])
+    def test_substitution_respects_the_squared_relation(self, n):
+        phi = spectral._substitution_images(n)
+        b2, b4, b8 = ring.B2, ring.B4, ring.B8
+        assert phi["C8"] == b8 + b2 * b2 * b4 * n - (b2 ** 4) * (n * n)
+        assert phi["B4"] ** 2 == phi["B2"] * phi["B3"] ** 2 - phi["C8"].scale(4)
+
+    def test_detects_the_opposite_c8_sign(self, monkeypatch):
+        def old_sign(n_param):
+            images = dict(right(n_param))
+            images["C8"] = -images["C8"]
+            return images
+        right = spectral._substitution_images
+        monkeypatch.setattr(spectral, "_substitution_images", old_sign)
+        # the rule B4^2 = B2 B3^2 - 4 C8 first acts in degree 16
+        assert surjectivity_check(0, 15)["status"] == "ok"
+        report = surjectivity_check(0, 16)
+        assert report["status"] == "mismatch"
+        assert report["first_failure"] == {
+            "degree": 16, "filtration": 0,
+            "reason": "substitution breaks the rewrite rule of B4"}
+
 
 class TestDegreeGuard:
     def test_default_guard(self):
