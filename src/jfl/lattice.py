@@ -346,8 +346,11 @@ class FPAbelianGroup:
                 raise ValueError("torsion must form a divisibility chain")
         if any(t < 2 for t in torsion):
             raise ValueError("torsion entries must be >= 2")
-        self.rank = rank
-        self.torsion = torsion
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FPAbelianGroup is immutable")
 
     @classmethod
     def from_presentation(cls, ngens, relation_rows):

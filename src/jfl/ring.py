@@ -19,7 +19,8 @@ from .lattice import FPAbelianGroup, hermite_normal_form, in_row_span
 from .series import QYSeries, render_signed_sum
 from .generators import generator_table, stabilizer_power
 
-GENERATOR_DEGREES = (4, 6, 8, 16)  # b2, b3, b4, b8
+GENERATOR_NAMES = ("b2", "b3", "b4", "b8")
+GENERATOR_DEGREES = (4, 6, 8, 16)
 
 
 class Inhomogeneous(ValueError):
@@ -324,12 +325,9 @@ def cokernel_representatives(d):
 
 # -- rendering ---------------------------------------------------------
 
-_GEN_NAMES = ("b2", "b3", "b4", "b8")
-
-
 def _monomial_factors(mono):
     out = []
-    for name, e in zip(_GEN_NAMES, mono):
+    for name, e in zip(GENERATOR_NAMES, mono):
         if e == 1:
             out.append(name)
         elif e > 1:

@@ -266,12 +266,14 @@ def make_series(entries, truncation, parity=None):
     """Build a canonical QYSeries from (n, r2, coeff) triples.
 
     Duplicate keys are summed and zero coefficients dropped.  The parity
-    is inferred from the entries unless given explicitly; entries of
-    mixed parity raise MixedParity, out-of-range q-exponents raise
-    BadExponent.
+    is inferred from the entries unless given explicitly as 0 or 1 (any
+    other value raises SeriesError); entries of mixed parity raise
+    MixedParity, out-of-range q-exponents raise BadExponent.
     """
     if truncation < 1:
         raise BadExponent("truncation must be positive")
+    if parity not in (None, 0, 1):
+        raise SeriesError("parity must be 0 or 1, not %r" % (parity,))
     terms = {}
     seen_parity = parity
     for n, r2, c in entries:

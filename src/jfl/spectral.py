@@ -22,6 +22,7 @@ exact over Z and takes two shortcuts, both inside homology_at:
               the kernel basis per bidegree, not one per vector
 Bases come from one enumeration per page, memoized on (generator
 position, degree left) and built as immutable monomial keys.
+The surjectivity check applies phi_N to page monomials, in tjf coordinates.
 
 Three conventions here go beyond the literally printed relation lists
 of the source presentations; every report carries them:
@@ -265,6 +266,12 @@ def _mono_key(exps):
     return tuple(sorted((n, e) for n, e in exps.items() if e))
 
 
+def _page_key(mono):
+    """The page key of the ring monomial b2^a b3^b b4^e b8^g, canonical
+    because ring.GENERATOR_NAMES are in sorted order."""
+    return tuple((n, e) for n, e in zip(ring.GENERATOR_NAMES, mono) if e)
+
+
 class BigradedPage:
     """A PageSpec realized: ordered monomial bases and d3 matrices."""
 
@@ -278,9 +285,6 @@ class BigradedPage:
         self._enum_memo = {}
 
     # ---- monomials ----
-
-    def monomial_degree(self, key):
-        return sum(self._degree[n] * e for n, e in key)
 
     def _sort_key(self, key):
         d = dict(key)
@@ -656,10 +660,7 @@ def check_tjf_groups(max_degree=24):
     for d in range(0, max_degree + 1, 2):
         basis = page.basis(d, 0)
         ring_basis = ring.degree_basis(d)
-        aligned = len(basis) == len(ring_basis) and all(
-            dict(m).get("b2", 0) == rm[0] and dict(m).get("b3", 0) == rm[1]
-            and dict(m).get("b4", 0) == rm[2] and dict(m).get("b8", 0) == rm[3]
-            for m, rm in zip(basis, ring_basis))
+        aligned = basis == tuple(map(_page_key, ring_basis))
         lattice = free_kernel_lattice(page, d)
         expected_lattice = ring.image_basis(d)
         lattice_match = aligned and lattice == expected_lattice
@@ -697,117 +698,90 @@ def _substitution_images(n_param):
     return {"B2": b2, "B3": b3, "B4": b4, "C8": ring.JFElement(quarter)}
 
 
-def _image(images, factors):
-    elem = ring.ONE
-    for name, e in factors:
-        elem = elem * images[name] ** e
-    return elem
+def _page_map(target, images):
+    """phi_N into target-page elements: a monomial goes to the target
+    page's product of its factors' images, and its one normalize serves
+    every sector.  A free monomial's image is built once, from the one
+    with one factor fewer; h1^s m goes to h1^s times the image of m."""
+    gens = {name: {_page_key(m): c for m, c in x.coeffs.items()}
+            for name, x in images.items()}
+    free = {(): {(): 1}}
+    keys = {}  # equal keys share one object, which keeps the memo small
+
+    def free_image(key):
+        if key not in free:
+            name, e = key[-1]
+            rest = key[:-1] + (((name, e - 1),) if e > 1 else ())
+            product = target.multiply(free_image(rest), gens[name])
+            free[key] = {keys.setdefault(k, k): c for k, c in product.items()}
+        return free[key]
+
+    def phi(x):
+        terms = []
+        for key, c in x.items():
+            exps = dict(key)
+            s = exps.pop("h1", 0)
+            terms.extend((c * c2, dict(k, h1=s))
+                         for k, c2 in free_image(_mono_key(exps)).items())
+        return target.normalize(terms)
+
+    return phi
 
 
-def _respects_rule(images, name, rule):
-    """Whether images[name]^2 equals the image of its rewrite rule."""
-    return images[name] ** 2 == sum(
-        (_image(images, mono.items()).scale(c) for c, mono in rule),
-        ring.JFElement({}))
-
-
-def _free_image_vector(images, mono, d):
-    return ring.element_coords(_image(images, mono), d)
-
-
-def _torsion_image_vector(images, mono, target_basis):
-    elem = ring.ONE
-    s = 0
-    for name, e in mono:
-        if name == "h1":
-            s = e
-        else:
-            elem = elem * images[name] ** e
-    index = {}
-    for i, tm in enumerate(target_basis):
-        md = dict(tm)
-        index[(md.get("b2", 0), md.get("b8", 0))] = i
-    vec = [0] * len(target_basis)
-    for (a, b, e, g), c in elem.coeffs.items():
-        if b or e:
-            continue  # b3, b4 are h1-annihilated in the target
-        vec[index[(a, g)]] = c % 2
-    return vec
+def _bidegree_failure(sub, target, phi, d, s):
+    """Why phi_N fails on (d, s), where both bases share a nonzero size,
+    or None: the matrix over target.basis(d, s) needs determinant +-1
+    (free) or odd (torsion), and d3 phi(m) = phi(d3 m) for each m."""
+    src = sub.basis(d, s)
+    index = {m: i for i, m in enumerate(target.basis(d, s))}
+    images = [phi({m: 1}) for m in src]
+    matrix = [[0] * len(src) for _ in index]
+    for j, image in enumerate(images):
+        for key, c in image.items():
+            matrix[index[key]][j] = c
+    det = determinant(matrix)
+    if s == 0 and det not in (1, -1):
+        return "free-sector determinant %d" % det
+    if s and det % 2 == 0:
+        return "torsion-sector map not bijective mod 2"
+    if any(target.d3_element(image) != phi(sub.d3_monomial(m))
+           for m, image in zip(src, images)):
+        return "differential does not commute"
+    return None
 
 
 def surjectivity_check(n_param, max_degree):
     """Verify the five-generator sub-page maps isomorphically per bidegree.
 
-    The substitution must respect the sub-page's rewrite rule, free
-    sectors must have unimodular integer matrices, torsion sectors must
-    be bijective mod 2, and the differential must commute with the
-    substitution.  Returns a report with the first failing bidegree if
-    any.
+    In target-page coordinates, phi_N must respect the sub-page's rewrite
+    rule, free sectors need unimodular matrices, torsion sectors ones
+    bijective mod 2, and d3 must commute with phi_N.  The report names
+    the first failing bidegree, if any.
     """
     sub = msu_sub_page(max_degree)
     target = tjf_page(max_degree)
-    images = _substitution_images(n_param)
-    # a rewrite rule acts first in twice its generator's degree; the
-    # normal-form bases below never show it, so it is checked there
+    phi = _page_map(target, _substitution_images(n_param))
+    # a rewrite rule first acts in twice its generator's degree, unseen by
+    # the normal-form bases; there phi(g^2) = phi(g)^2 must match the rule
     rules = [(2 * g.degree, g.name, sub.spec.rewrite_rules[g.name])
              for g in sub.spec.generators if g.name in sub.spec.rewrite_rules]
-    checked = 0
-    failure = None
-
-    def fail(d, s, reason):
-        return {"degree": d, "filtration": s, "reason": reason}
-
-    for d in range(max_degree + 1):
-        if failure:
-            break
-        broken = [name for rd, name, rule in rules
-                  if rd == d and not _respects_rule(images, name, rule)]
+    checked, failure = 0, None
+    for d, s in ((d, s) for d in range(max_degree + 1) for s in range(d + 1)):
+        src, dst = sub.basis(d, s), target.basis(d, s)
+        broken = [name for rd, name, rule in rules if (rd, 0) == (d, s)
+                  and phi({((name, 2),): 1})
+                  != phi({_mono_key(m): c for c, m in rule})]
         if broken:
-            failure = fail(d, 0, "substitution breaks the rewrite rule of "
-                           + ", ".join(broken))
-            break
-        for s in range(d + 1):
-            src = sub.basis(d, s)
-            dst = target.basis(d, s)
-            if len(src) != len(dst):
-                failure = fail(d, s, "basis sizes %d vs %d" % (len(src), len(dst)))
-                break
-            if not src:
-                continue
+            reason = "substitution breaks the rewrite rule of " + ", ".join(broken)
+        elif len(src) != len(dst):
+            reason = "basis sizes %d vs %d" % (len(src), len(dst))
+        elif not src:
+            continue
+        else:
             checked += 1
-            if s == 0:
-                cols = [_free_image_vector(images, mono, d) for mono in src]
-            else:
-                cols = [_torsion_image_vector(images, mono, dst) for mono in src]
-            t_mat = transpose(cols)
-            det = determinant(t_mat)
-            if s == 0 and det not in (1, -1):
-                failure = fail(d, s, "free-sector determinant %d" % det)
-                break
-            if s and det % 2 == 0:
-                failure = fail(d, s, "torsion-sector map not bijective mod 2")
-                break
-            # differential commutes with the substitution (mod 2 targets)
-            src_d3 = sub.d3_matrix(d, s)
-            dst_d3 = target.d3_matrix(d, s)
-            below_src = sub.basis(d - 1, s + 3)
-            below_dst = target.basis(d - 1, s + 3)
-            if below_src or below_dst:
-                t_below = [_torsion_image_vector(images, mono, below_dst)
-                           for mono in below_src]
-                for j in range(len(src)):
-                    lhs = [sum(t_below[k][i] * src_d3[k][j]
-                               for k in range(len(below_src))) % 2
-                           for i in range(len(below_dst))]
-                    rhs = [sum(dst_d3[i][k] * t_mat[k][j]
-                               for k in range(len(dst))) % 2
-                           for i in range(len(below_dst))]
-                    if lhs != rhs:
-                        failure = fail(d, s, "differential does not commute")
-                        break
-                if failure:
-                    break
-        if failure:
+            reason = _bidegree_failure(sub, target, phi, d, s)
+        if reason:
+            failure = {"degree": d, "filtration": s, "reason": reason}
             break
 
     return {"status": "mismatch" if failure else "ok",

@@ -154,6 +154,16 @@ class TestFPAbelianGroup:
         with pytest.raises(ValueError):
             FPAbelianGroup(0, (1,))
 
+    def test_is_immutable(self):
+        # it hashes by value, so a group in a set must not change
+        g = FPAbelianGroup(1, (2,))
+        groups = {g}
+        with pytest.raises(AttributeError):
+            g.rank = 2
+        with pytest.raises(AttributeError):
+            g.torsion = ()
+        assert g in groups and g == FPAbelianGroup(1, (2,))
+
 
 def test_transpose_round_trip():
     m = [[1, 2, 3], [4, 5, 6]]

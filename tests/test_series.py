@@ -1,7 +1,7 @@
 import pytest
 
 from jfl.series import (BadExponent, MixedParity, NonDivisible, QYSeries,
-                        exact_divide, make_series, render_json_dict,
+                        SeriesError, exact_divide, make_series, render_json_dict,
                         render_text, series_from_json_dict)
 from property_suites import (exact_divide_round_trips,
                              packed_product_matches_dict, packed_width_edges,
@@ -24,6 +24,14 @@ def test_make_series_infers_odd_parity():
 def test_make_series_rejects_mixed_parity():
     with pytest.raises(MixedParity):
         make_series([(0, 0, 1), (0, 1, 1)], truncation=2)
+
+
+@pytest.mark.parametrize("terms", [[], [{"q": 0, "y2": 2, "c": "1"}]])
+def test_declared_parity_must_be_0_or_1(terms):
+    obj = {"truncation": 3, "parity": 2, "terms": terms}
+    with pytest.raises(SeriesError, match="parity must be 0 or 1, not 2"):
+        series_from_json_dict(obj)
+    assert series_from_json_dict(dict(obj, parity=0)).parity == 0
 
 
 def test_make_series_exponent_validation():

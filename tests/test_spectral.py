@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -319,6 +320,36 @@ class TestSurjectivity:
         assert report["first_failure"] == {
             "degree": 16, "filtration": 0,
             "reason": "substitution breaks the rewrite rule of B4"}
+
+
+    def test_detects_a_differential_that_does_not_commute(self, monkeypatch):
+        def without_d3(max_degree):
+            page = right(max_degree)
+            return spectral.BigradedPage(dataclasses.replace(page.spec, d3={}))
+        right = spectral.msu_sub_page
+        monkeypatch.setattr(spectral, "msu_sub_page", without_d3)
+        # d3 B2 = h1^3 on the target side only
+        report = surjectivity_check(0, 16)
+        assert report["status"] == "mismatch"
+        assert report["first_failure"] == {
+            "degree": 4, "filtration": 0,
+            "reason": "differential does not commute"}
+        assert report["bidegrees_checked"] == 5
+
+    def test_detects_unequal_basis_sizes(self, monkeypatch):
+        def without_c8(max_degree):
+            spec = right(max_degree).spec
+            return spectral.BigradedPage(dataclasses.replace(
+                spec, generators=tuple(g for g in spec.generators
+                                       if g.name != "C8")))
+        right = spectral.msu_sub_page
+        monkeypatch.setattr(spectral, "msu_sub_page", without_c8)
+        # the B4 rule still holds; degree 16 then lacks C8 on the sub page
+        report = surjectivity_check(0, 32)
+        assert report["status"] == "mismatch"
+        assert report["first_failure"] == {
+            "degree": 16, "filtration": 0, "reason": "basis sizes 3 vs 4"}
+        assert report["bidegrees_checked"] == 43
 
 
 class TestDegreeGuard:
