@@ -6,7 +6,7 @@ column j, and a matrix represents the map sending a column vector x to
 mat @ x.  The two workhorses are Smith normal form (for invariant
 factors, kernels and integer solving) and Hermite normal form (for
 lattice membership).  Both are written for the small dense matrices
-this package produces; no sparsity tricks.
+this package produces; only the determinant works on sparse rows.
 """
 
 
@@ -208,28 +208,55 @@ def solve_column_combination(mat, targets):
 
 
 def determinant(mat):
-    """Bareiss fraction-free determinant of a square integer matrix."""
+    """Determinant of a square integer matrix by Euclidean elimination
+    over sparse rows.
+
+    Each row, held as {column: value}, is reduced against the pivot rows
+    by leading column; where a pivot does not divide, the two rows trade
+    places Euclid-style, so every step adds a multiple of one row to
+    another and leaves the determinant alone.  The rows then have
+    distinct leading columns: the determinant is the product of the
+    leading values times the sign of the slot-to-column permutation.
+    """
     n = len(mat)
-    if n == 0:
-        return 1
-    M = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    pivots = {}  # leading column -> (slot, row)
+    for slot, dense in enumerate(mat):
+        row = {j: v for j, v in enumerate(dense) if v}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                pivots[c] = (slot, row)
+                break
+            other, prow = pivots[c]
+            q = row[c] // prow[c]
+            if q:
+                for j, v in prow.items():
+                    w = row.get(j, 0) - q * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+            if c in row:  # a nonzero remainder: it becomes the pivot
+                pivots[c] = (slot, row)
+                slot, row = other, prow
+        else:
+            return 0
+    column_of = [0] * n
+    det = 1
+    for c, (slot, row) in pivots.items():
+        column_of[slot] = c
+        det *= row[c]
+    # the sign of the permutation: -1 per even-length cycle
+    seen = [False] * n
+    for start in range(n):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = column_of[i]
+            length += 1
+        if length and length % 2 == 0:
+            det = -det
+    return det
 
 
 def hermite_normal_form(rows, ncols):

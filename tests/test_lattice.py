@@ -7,7 +7,8 @@ from jfl.lattice import (FPAbelianGroup, determinant, hermite_normal_form,
                          kernel_basis, mat_mul, mat_vec, rank,
                          smith_normal_form, snf_diagonal,
                          solve_column_combination, transpose, xgcd)
-from property_suites import snf_postconditions
+from property_suites import (bareiss_determinant, determinant_matches_bareiss,
+                             snf_postconditions)
 
 
 def test_xgcd():
@@ -103,6 +104,15 @@ def test_determinant():
     assert determinant([[0, 1], [1, 0]]) == -1
     assert determinant([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
     assert determinant([[5]]) == 5
+
+
+def test_determinant_matches_bareiss():
+    # no unit pivot, 0x0, 1x1 and singular shapes, then random matrices
+    for mat in ([[2, 3], [3, 5]], [[4, 6], [6, 9]], [[0, 2], [3, 0]], [],
+                [[0]], [[-7]], [[0, 0], [0, 0]], [[6, 4, 2], [3, 2, 1], [1, 1, 1]]):
+        assert determinant(mat) == bareiss_determinant(mat), mat
+    assert determinant([[2, 3], [3, 5]]) == 1
+    assert determinant_matches_bareiss(2000) == 2000
 
 
 def test_hermite_normal_form_is_canonical():

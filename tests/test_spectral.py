@@ -13,7 +13,7 @@ from jfl.spectral import (DEVIATIONS, TRIVIAL_GROUP, ChainGroup, ChainSlice,
                           free_kernel_lattice, group_to_json, homology_at,
                           homotopy_groups, msu_page, msu_sub_page,
                           preimage_lattice, surjectivity_check, tjf_page)
-from property_suites import d3_squared_zero, signed_leibniz
+from property_suites import bareiss_determinant, d3_squared_zero, signed_leibniz
 
 Z = ChainGroup(1)
 Z2 = ChainGroup(0, (2,))
@@ -269,6 +269,115 @@ def test_group_to_json():
                                                         "torsion": [2, 4]}
 
 
+def _bidegree_failure(sub, target, phi, d, s):
+    """The per-monomial check that surjectivity_check replaced, kept as
+    its oracle: why phi_N fails on (d, s), where both bases share a
+    nonzero size, or None.  The matrix over target.basis(d, s) needs
+    determinant +-1 (free) or odd (torsion), and d3 phi(m) = phi(d3 m)
+    for each m."""
+    src = sub.basis(d, s)
+    index = {m: i for i, m in enumerate(target.basis(d, s))}
+    images = [phi({m: 1}) for m in src]
+    matrix = [[0] * len(src) for _ in index]
+    for j, image in enumerate(images):
+        for key, c in image.items():
+            matrix[index[key]][j] = c
+    det = bareiss_determinant(matrix)
+    if s == 0 and det not in (1, -1):
+        return "free-sector determinant %d" % det
+    if s and det % 2 == 0:
+        return "torsion-sector map not bijective mod 2"
+    if any(target.d3_element(image) != phi(sub.d3_monomial(m))
+           for m, image in zip(src, images)):
+        return "differential does not commute"
+    return None
+
+
+def _oracle_surjectivity_check(n_param, max_degree):
+    """surjectivity_check as it was: every bidegree on its own."""
+    sub = spectral.msu_sub_page(max_degree)
+    target = tjf_page(max_degree)
+    phi = spectral._page_map(target, spectral._substitution_images(n_param))
+    rules = [(2 * g.degree, g.name, sub.spec.rewrite_rules[g.name])
+             for g in sub.spec.generators if g.name in sub.spec.rewrite_rules]
+    checked, failure = 0, None
+    for d, s in ((d, s) for d in range(max_degree + 1) for s in range(d + 1)):
+        src, dst = sub.basis(d, s), target.basis(d, s)
+        broken = [name for rd, name, rule in rules if (rd, 0) == (d, s)
+                  and phi({((name, 2),): 1})
+                  != phi({spectral._mono_key(m): c for c, m in rule})]
+        if broken:
+            reason = "substitution breaks the rewrite rule of " + ", ".join(broken)
+        elif len(src) != len(dst):
+            reason = "basis sizes %d vs %d" % (len(src), len(dst))
+        elif not src:
+            continue
+        else:
+            checked += 1
+            reason = _bidegree_failure(sub, target, phi, d, s)
+        if reason:
+            failure = {"degree": d, "filtration": s, "reason": reason}
+            break
+    return {"status": "mismatch" if failure else "ok",
+            "n_param": n_param,
+            "max_degree": max_degree,
+            "bidegrees_checked": checked,
+            "first_failure": failure,
+            "deviations_adopted": list(DEVIATIONS)}
+
+
+_right_images = spectral._substitution_images
+_right_sub_page = spectral.msu_sub_page
+_right_page_map = spectral._page_map
+
+
+def _crooked_images(n_param):
+    return {"B2": ring.B2, "B3": ring.B3, "B4": ring.B4.scale(-2),
+            "C8": -ring.B8}
+
+
+def _opposite_c8_sign(n_param):
+    images = dict(_right_images(n_param))
+    images["C8"] = -images["C8"]
+    return images
+
+
+def _sub_page_with(max_degree, **changes):
+    spec = _right_sub_page(max_degree).spec
+    return spectral.BigradedPage(dataclasses.replace(spec, **changes))
+
+
+def _sub_page_without_d3(max_degree):
+    return _sub_page_with(max_degree, d3={})
+
+
+def _sub_page_without_c8(max_degree):
+    spec = _right_sub_page(max_degree).spec
+    return _sub_page_with(max_degree, generators=tuple(
+        g for g in spec.generators if g.name != "C8"))
+
+
+def _sub_page_where_b3_survives_h1(max_degree):
+    return _sub_page_with(max_degree, torsion_killers=frozenset({"B4"}))
+
+
+def _page_map_without_torsion(target, images):
+    # phi_N with every h1 term of its argument dropped
+    phi = _right_page_map(target, images)
+    return lambda x: phi({k: c for k, c in x.items() if not dict(k).get("h1")})
+
+
+# (name in spectral, replacement) per broken case
+BROKEN = {
+    "crooked substitution": ("_substitution_images", _crooked_images),
+    "opposite C8 sign": ("_substitution_images", _opposite_c8_sign),
+    "sub page without d3": ("msu_sub_page", _sub_page_without_d3),
+    "sub page without C8": ("msu_sub_page", _sub_page_without_c8),
+    "B3 survives h1": ("msu_sub_page", _sub_page_where_b3_survives_h1),
+    "phi kills h1": ("_page_map", _page_map_without_torsion),
+}
+
+
 class TestSurjectivity:
     def test_holds_for_small_parameters(self):
         for n in (-1, 0, 1, 2):
@@ -284,15 +393,23 @@ class TestSurjectivity:
         assert report["status"] == "ok"
         assert report["bidegrees_checked"] == 576
 
+    @pytest.mark.parametrize("max_degree", [16, 32, 64])
+    def test_reports_match_the_per_monomial_oracle(self, max_degree):
+        for n in range(-3, 4):
+            assert (surjectivity_check(n, max_degree)
+                    == _oracle_surjectivity_check(n, max_degree)), n
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_broken_cases_match_the_per_monomial_oracle(self, monkeypatch,
+                                                        case):
+        monkeypatch.setattr(spectral, *BROKEN[case])
+        for n in (0, 1):
+            report = surjectivity_check(n, 32)
+            assert report["status"] == "mismatch"
+            assert report == _oracle_surjectivity_check(n, 32), n
+
     def test_detects_a_broken_substitution(self, monkeypatch):
-        def crooked(n_param):
-            return {
-                "B2": ring.B2,
-                "B3": ring.B3,
-                "B4": ring.B4.scale(-2),
-                "C8": -ring.B8,
-            }
-        monkeypatch.setattr(spectral, "_substitution_images", crooked)
+        monkeypatch.setattr(spectral, *BROKEN["crooked substitution"])
         report = surjectivity_check(0, 16)
         assert report["status"] == "mismatch"
         failure = report["first_failure"]
@@ -307,12 +424,7 @@ class TestSurjectivity:
         assert phi["B4"] ** 2 == phi["B2"] * phi["B3"] ** 2 - phi["C8"].scale(4)
 
     def test_detects_the_opposite_c8_sign(self, monkeypatch):
-        def old_sign(n_param):
-            images = dict(right(n_param))
-            images["C8"] = -images["C8"]
-            return images
-        right = spectral._substitution_images
-        monkeypatch.setattr(spectral, "_substitution_images", old_sign)
+        monkeypatch.setattr(spectral, *BROKEN["opposite C8 sign"])
         # the rule B4^2 = B2 B3^2 - 4 C8 first acts in degree 16
         assert surjectivity_check(0, 15)["status"] == "ok"
         report = surjectivity_check(0, 16)
@@ -321,13 +433,8 @@ class TestSurjectivity:
             "degree": 16, "filtration": 0,
             "reason": "substitution breaks the rewrite rule of B4"}
 
-
     def test_detects_a_differential_that_does_not_commute(self, monkeypatch):
-        def without_d3(max_degree):
-            page = right(max_degree)
-            return spectral.BigradedPage(dataclasses.replace(page.spec, d3={}))
-        right = spectral.msu_sub_page
-        monkeypatch.setattr(spectral, "msu_sub_page", without_d3)
+        monkeypatch.setattr(spectral, *BROKEN["sub page without d3"])
         # d3 B2 = h1^3 on the target side only
         report = surjectivity_check(0, 16)
         assert report["status"] == "mismatch"
@@ -337,19 +444,62 @@ class TestSurjectivity:
         assert report["bidegrees_checked"] == 5
 
     def test_detects_unequal_basis_sizes(self, monkeypatch):
-        def without_c8(max_degree):
-            spec = right(max_degree).spec
-            return spectral.BigradedPage(dataclasses.replace(
-                spec, generators=tuple(g for g in spec.generators
-                                       if g.name != "C8")))
-        right = spectral.msu_sub_page
-        monkeypatch.setattr(spectral, "msu_sub_page", without_c8)
+        monkeypatch.setattr(spectral, *BROKEN["sub page without C8"])
         # the B4 rule still holds; degree 16 then lacks C8 on the sub page
         report = surjectivity_check(0, 32)
         assert report["status"] == "mismatch"
         assert report["first_failure"] == {
             "degree": 16, "filtration": 0, "reason": "basis sizes 3 vs 4"}
         assert report["bidegrees_checked"] == 43
+
+    def test_detects_a_failure_in_a_torsion_sector(self, monkeypatch):
+        monkeypatch.setattr(spectral, *BROKEN["B3 survives h1"])
+        # h1 B3 lives on the sub page only; d - s = 6 is first met at (7, 1)
+        report = surjectivity_check(0, 32)
+        assert report["status"] == "mismatch"
+        assert report["first_failure"] == {
+            "degree": 7, "filtration": 1, "reason": "basis sizes 1 vs 0"}
+        assert report["bidegrees_checked"] == 11
+
+    def test_detects_a_torsion_sector_that_is_not_bijective(self, monkeypatch):
+        monkeypatch.setattr(spectral, *BROKEN["phi kills h1"])
+        report = surjectivity_check(0, 32)
+        assert report["first_failure"] == {
+            "degree": 1, "filtration": 1,
+            "reason": "torsion-sector map not bijective mod 2"}
+        assert report["bidegrees_checked"] == 2
+
+
+def _without_h1(mons):
+    return tuple(tuple(p for p in m if p[0] != "h1") for m in mons)
+
+
+@pytest.mark.parametrize("page_of", [tjf_page, msu_sub_page])
+def test_torsion_sectors_depend_on_d_minus_s_only(page_of):
+    # the fact behind one torsion verdict per k = d - s: for s >= 1 the
+    # basis is h1^s times one tuple of monomials and d3 is one matrix mod 2
+    page = page_of(64)
+    for k in range(61):
+        bases = {_without_h1(page.basis(k + s, s)) for s in range(1, 5)}
+        d3 = {tuple(tuple(v % 2 for v in row)
+                    for row in page.d3_matrix(k + s, s)) for s in range(1, 5)}
+        assert len(bases) == 1 and len(d3) == 1, k
+    assert page.d3_matrix(5, 1) == ((1,),)  # h1 b2 -> h1^4, not zero
+
+
+def test_phi_columns_depend_on_d_minus_s_only():
+    sub, target = msu_sub_page(64), tjf_page(64)
+    for n in range(-3, 4):
+        phi = spectral._page_map(target, spectral._substitution_images(n))
+        for k in range(61):
+            columns = set()
+            for s in range(1, 5):
+                index = {m: i for i, m in enumerate(target.basis(k + s, s))}
+                columns.add(tuple(
+                    tuple(sorted((index[key], c)
+                                 for key, c in phi({m: 1}).items()))
+                    for m in sub.basis(k + s, s)))
+            assert len(columns) == 1, (n, k)
 
 
 class TestDegreeGuard:
