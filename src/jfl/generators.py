@@ -9,6 +9,11 @@ of the three normalized theta functions theta_00, theta_01, theta_10,
 which live on a doubled q-grid (Q^2 = q) and are folded back once the
 odd half-orders cancel.
 
+`generator_table(T)` caches one GeneratorTable per truncation, and the
+table builds each generator on first access: `expand --gen a` builds a
+alone.  It also keeps the generator squares that the identity checks
+share.
+
 Sign calibration: the index-raising padding used to compare a weight-k
 form against ring elements is stabilizer_power(a, k) = (-1)^(k//2) a^k,
 not a^k itself.  The three modular embedding identities force this: the
@@ -18,8 +23,8 @@ calibrated to square to MINUS a^2.  All identities below are certified
 with this convention; A_SQUARE_SIGN records it for reports.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import isqrt
 
 from .series import (QYSeries, SeriesError, exact_divide, make_series)
@@ -116,8 +121,7 @@ def _b2_from_parts(A, B, C):
 
 
 def _b4_from_parts(A, B, C):
-    S = A * B + (A + B) * C
-    return _fold_doubled_q(exact_divide(S, QYSeries.one(S.truncation).scale(8)))
+    return _fold_doubled_q((A * B + (A + B) * C).divide_exact(8))
 
 
 def gen_b2(truncation):
@@ -137,35 +141,67 @@ def gen_b4(truncation):
 
 @dataclass(frozen=True)
 class GeneratorTable:
+    """The five generators to one truncation, each built on first access.
+
+    Equality and hash follow the truncation alone, which determines
+    every series.  b2 and b4 share the theta-constant squares, and the
+    identity checks share the squares of the generators (`square`).
+    """
     truncation: int
-    a: QYSeries
-    b2: QYSeries
-    b3: QYSeries
-    b4: QYSeries
-    b8: QYSeries
+    _squares: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+
+    @cached_property
+    def a(self):
+        return gen_a(self.truncation)
+
+    def _theta_squares(self):
+        """The parts b2 and b4 share, kept only until both are built."""
+        parts = self.__dict__.pop("_parts", None) or _xi_square_parts(self.truncation)
+        if "b2" not in self.__dict__ and "b4" not in self.__dict__:
+            self.__dict__["_parts"] = parts  # the first of the two
+        return parts
+
+    @cached_property
+    def b2(self):
+        return _b2_from_parts(*self._theta_squares())
+
+    @cached_property
+    def b3(self):
+        return gen_b3(self.truncation)
+
+    @cached_property
+    def b4(self):
+        return _b4_from_parts(*self._theta_squares())
+
+    @cached_property
+    def b8(self):
+        return gen_b8(self.truncation)
 
     def series_of(self, name):
         return getattr(self, name)
 
+    def square(self, name):
+        """The square of generator `name`, built once per table."""
+        if name not in self._squares:
+            s = self.series_of(name)
+            self._squares[name] = s * s
+        return self._squares[name]
+
 
 @lru_cache(maxsize=16)
 def generator_table(truncation):
-    # b2 and b4 share the theta-constant squares: build them once
-    parts = _xi_square_parts(truncation)
-    return GeneratorTable(
-        truncation=truncation,
-        a=gen_a(truncation),
-        b2=_b2_from_parts(*parts),
-        b3=gen_b3(truncation),
-        b4=_b4_from_parts(*parts),
-        b8=gen_b8(truncation),
-    )
+    return GeneratorTable(truncation)
+
+
+def _calibrated(power, k):
+    """The padding class of a^k, given a^k: its sign is (-1)^(k//2)."""
+    return -power if (k // 2) % 2 else power
 
 
 def stabilizer_power(a, k):
     """The index-raising padding a^k with the calibrated sign (-1)^(k//2)."""
-    s = a ** k
-    return -s if (k // 2) % 2 else s
+    return _calibrated(a ** k, k)
 
 
 # -- classical one-variable forms -------------------------------------
@@ -215,23 +251,26 @@ def verify_discriminant_identity(truncation):
 def verify_relation(truncation):
     """4 b8 + b4^2 - b2 b3^2 vanishes to the given truncation."""
     t = generator_table(truncation)
-    return (t.b8.scale(4) + t.b4 ** 2 - t.b2 * t.b3 ** 2).is_zero()
+    return (t.b8.scale(4) + t.square("b4") - t.b2 * t.square("b3")).is_zero()
 
 
 def mf_embedding_report(truncation):
-    """Per-identity results for the weight 4, 6, 12 embedding rows."""
+    """Per-identity results for the weight 4, 6, 12 embedding rows.
+
+    Each power of a is built once: a^6 = a^4 a^2 and a^12 = a^6 a^6."""
     t = generator_table(truncation)
-    b2, b3, b4, b8 = t.b2, t.b3, t.b4, t.b8
-    rows = {
-        "c4": (eisenstein_c4(truncation) * stabilizer_power(t.a, 4),
-               b2 ** 2 - b4.scale(24)),
-        "c6": (eisenstein_c6(truncation) * stabilizer_power(t.a, 6),
-               -(b2 ** 3) + (b2 * b4).scale(36) - (b3 ** 2).scale(216)),
-        "delta": (discriminant(truncation) * stabilizer_power(t.a, 12),
-                  -(b2 ** 2 * b8) - (b4 ** 3).scale(8)
-                  - (b3 ** 4).scale(27) + (b2 * b3 ** 2 * b4).scale(9)),
-    }
-    report = {name: lhs == rhs for name, (lhs, rhs) in rows.items()}
+    b2, b4 = t.b2, t.b4
+    b2_2, b3_2 = t.square("b2"), t.square("b3")
+    a2 = t.a * t.a
+    a4 = a2 * a2
+    report = {"c4": eisenstein_c4(truncation) * _calibrated(a4, 4)
+              == b2_2 - b4.scale(24)}
+    a6 = a4 * a2
+    report["c6"] = (eisenstein_c6(truncation) * _calibrated(a6, 6)
+                    == -(b2_2 * b2) + (b2 * b4).scale(36) - b3_2.scale(216))
+    report["delta"] = (discriminant(truncation) * _calibrated(a6 * a6, 12)
+                       == -(b2_2 * t.b8) - (t.square("b4") * b4).scale(8)
+                       - (b3_2 * b3_2).scale(27) + (b2 * b3_2 * b4).scale(9))
     report["mf_relation"] = verify_discriminant_identity(truncation)
     return report
 

@@ -11,11 +11,14 @@ All coefficients are exact Python ints.  Values are immutable; every
 operation returns a fresh series.
 
 Products run one q-layer at a time.  Each q-layer is packed into a
-single int by Kronecker substitution in y, so a layer-pair product is
-one big-int multiplication in C.  The digit width is fixed per product
-from a bound on every output coefficient, so the packed digits never
-carry into each other and the product is exact over Z (see
-``QYSeries.__mul__``).
+single int by Kronecker substitution in y, starting from its own least
+y-exponent, so a layer-pair product is one big-int multiplication in C
+and is shifted into place before the pairs are summed.  The digit width
+is fixed per product from a bound on every output coefficient, so the
+packed digits never carry into each other and the product is exact over
+Z (see ``QYSeries.__mul__``).  ``exact_divide`` finds the quotient layer
+by layer; each residue is one packed convolution of the quotient layers
+found so far, with a width that doubles when their bound outgrows it.
 """
 
 
@@ -133,18 +136,17 @@ class QYSeries:
         """The product, one packed q-layer at a time.
 
         Each q-layer is packed into one int (Kronecker substitution in
-        y): the term c y^(r2/2) becomes the digit c at position
-        (r2 - lo)/2 in base 2^w, lo being the operand's least r2.
-        Output layer n is then the plain int sum of A_i * B_(n-i).
+        y) from its own least r2, lo: the term c y^(r2/2) becomes the
+        digit c at position (r2 - lo)/2 in base 2^w.  Output layer n is
+        the sum of the layer-pair products A_i * B_(n-i), each shifted
+        up by its own low end lo_i + lo_(n-i) less the least of them.
 
         The product is exact.  An output coefficient sums at most
         trunc layer pairs, and in each pair at most min(terms per layer
         of either operand) digit products, each at most max|a| max|b|
         in size.  w is that bound's bit length plus a sign bit, so every
-        output digit lies strictly inside (-2^(w-1), 2^(w-1)).  Adding
-        2^(w-1) to every digit therefore makes all digits nonnegative
-        and below 2^w without a carry, and each digit is read back from
-        its own w-bit slice.
+        output digit lies strictly inside (-2^(w-1), 2^(w-1)), and
+        `_unpack` reads each digit back from its own w-bit slice.
         """
         if isinstance(other, int):
             return self.scale(other)
@@ -156,36 +158,18 @@ class QYSeries:
         b_layers = _q_layers(other, trunc)
         if not any(a_layers) or not any(b_layers):
             return QYSeries({}, trunc, parity)
-        bound = (max(abs(c) for layer in a_layers for c in layer.values())
-                 * max(abs(c) for layer in b_layers for c in layer.values())
-                 * trunc * min(max(map(len, a_layers)), max(map(len, b_layers))))
-        size = bound.bit_length() // 8 + 1  # bytes per digit, sign bit included
-        w = 8 * size
-        a_lo, a_packed = _pack_layers(a_layers, w)
-        b_lo, b_packed = _pack_layers(b_layers, w)
-        lo = a_lo + b_lo
-        half = 1 << (w - 1)
-        blank = half.to_bytes(size, "little")
-        a_nonzero = [(i, x) for i, x in enumerate(a_packed) if x]
+        size = _digit_bytes(_max_abs(a_layers) * _max_abs(b_layers) * trunc
+                            * min(max(map(len, a_layers)), max(map(len, b_layers))))
+        a_packed = [(i, _pack(layer, size)) for i, layer in enumerate(a_layers)
+                    if layer]
+        b_packed = [_pack(layer, size) if layer else None for layer in b_layers]
         out = {}
         for n in range(trunc):
-            acc = 0
-            for i, x in a_nonzero:
-                if i > n:
-                    break
-                y = b_packed[n - i]
-                if y:
-                    acc += x * y
-            if not acc:
-                continue
-            # bias every digit by 2^(w-1); blank slices are zero digits
-            digits = (acc.bit_length() + w) // w
-            raw = (acc + int.from_bytes(blank * digits, "little")).to_bytes(
-                digits * size, "little")
-            for k in range(digits):
-                chunk = raw[k * size:(k + 1) * size]
-                if chunk != blank:
-                    out[(n, lo + 2 * k)] = int.from_bytes(chunk, "little") - half
+            pairs = [(x, b_packed[n - i]) for i, x in a_packed
+                     if i <= n and b_packed[n - i]]
+            if pairs:
+                out.update(((n, r2), c)
+                           for r2, c in _unpack(_convolve(pairs, size), size))
         return QYSeries(out, trunc, parity)
 
     def __rmul__(self, other):
@@ -199,17 +183,32 @@ class QYSeries:
         return QYSeries({key: k * c for key, c in self._terms.items()},
                         self.truncation, self.parity)
 
+    def divide_exact(self, k):
+        """The series with every coefficient divided by the int k;
+        NonDivisible if k is 0 or leaves a remainder."""
+        if not k:
+            raise NonDivisible("division by zero")
+        out = {}
+        for key, c in self._terms.items():
+            out[key], rem = divmod(c, k)
+            if rem:
+                raise NonDivisible("coefficient %d not divisible by %d" % (c, k))
+        return QYSeries(out, self.truncation, self.parity)
+
     def __pow__(self, k):
+        """Square and multiply, starting from the lowest power k needs."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = QYSeries.one(self.truncation)
-        base = self
-        while k:
+        if not k:
+            return QYSeries.one(self.truncation)
+        base, result = self, None
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     # -- reshaping ---------------------------------------------------
 
@@ -244,11 +243,53 @@ def _q_layers(series, trunc):
     return layers
 
 
-def _pack_layers(layers, w):
-    """(lo, [sum of c << w (r2 - lo)/2 per layer]), lo the least r2."""
-    lo = min(min(layer) for layer in layers if layer)
-    return lo, [sum(c << (w * ((r2 - lo) >> 1)) for r2, c in layer.items())
-                for layer in layers]
+def _max_abs(layers):
+    return max((abs(c) for layer in layers for c in layer.values()), default=0)
+
+
+def _digit_bytes(bound):
+    """Bytes per packed digit for digits of magnitude at most bound: its
+    bit length plus a sign bit, rounded up to whole bytes."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(layer, size):
+    """(lo, sum of c << w (r2 - lo)/2) for a nonempty layer r2 -> c, lo
+    being its least r2 and w = 8 size bits the digit width."""
+    lo = min(layer)
+    w = 8 * size
+    return lo, sum(c << (w * ((r2 - lo) >> 1)) for r2, c in layer.items())
+
+
+def _convolve(pairs, size):
+    """(lo, sum of x * y) over pairs of packed layers ((lo_x, x), (lo_y,
+    y)), each product shifted up by lo_x + lo_y - lo, lo being the least
+    such low end.  r2 steps by 2 per digit, so a step of 1 is 4 size bits."""
+    lo = min(lx + ly for (lx, _), (ly, _) in pairs)
+    step = 4 * size
+    return lo, sum((x * y) << (step * (lx + ly - lo))
+                   for (lx, x), (ly, y) in pairs)
+
+
+def _unpack(packed, size):
+    """The nonzero digits of a packed layer (lo, acc) as (r2, c) pairs,
+    for digits strictly inside (-2^(w-1), 2^(w-1)), w = 8 size.
+
+    Adding 2^(w-1) to every digit makes all digits nonnegative and below
+    2^w without a carry, so each is read from its own w-bit slice; a
+    slice equal to the bias is a zero digit."""
+    lo, acc = packed
+    if not acc:
+        return []
+    w = 8 * size
+    half = 1 << (w - 1)
+    blank = half.to_bytes(size, "little")
+    digits = (acc.bit_length() + w) // w
+    raw = (acc + int.from_bytes(blank * digits, "little")).to_bytes(
+        digits * size, "little")
+    return [(lo + 2 * k, int.from_bytes(chunk, "little") - half)
+            for k in range(digits)
+            for chunk in (raw[k * size:(k + 1) * size],) if chunk != blank]
 
 
 def _joint_parity(f, g):
@@ -298,39 +339,38 @@ def _laurent_exact_div(num, den):
 
     Returns the quotient map or raises NonDivisible.  Both inputs may be
     Laurent (negative exponents); they are shifted to ordinary
-    polynomials, divided by descending degree, and shifted back.
+    polynomials, divided by descending degree over a dense list of the
+    numerator's coefficients, and shifted back.
     """
     if not den:
         raise NonDivisible("division by the zero Laurent polynomial")
     if not num:
         return {}
     min_n = min(num)
-    min_d = min(den)
-    F = {e - min_n: c for e, c in num.items()}
-    G = {e - min_d: c for e, c in den.items()}
-    deg_g = max(G)
-    lead = G[deg_g]
+    min_d, top_d = min(den), max(den)
+    deg_g = top_d - min_d
+    lead = den[top_d]
+    below = [(top_d - e, c) for e, c in den.items() if e != top_d]
+    R = [0] * (max(num) - min_n + 1)
+    for e, c in num.items():
+        R[e - min_n] = c
+    shift = min_n - min_d
     quot = {}
-    R = dict(F)
-    while R:
-        deg_r = max(R)
-        if deg_r < deg_g:
-            raise NonDivisible("remainder of y-degree %d survives" % deg_r)
-        c, rem = divmod(R[deg_r], lead)
+    for top in range(len(R) - 1, deg_g - 1, -1):
+        c = R[top]
+        if not c:
+            continue
+        q, rem = divmod(c, lead)
         if rem:
             raise NonDivisible("leading coefficient %d not divisible by %d"
-                               % (R[deg_r], lead))
-        e = deg_r - deg_g
-        quot[e] = c
-        for eg, cg in G.items():
-            ne = e + eg
-            nv = R.get(ne, 0) - c * cg
-            if nv:
-                R[ne] = nv
-            else:
-                R.pop(ne, None)
-    shift = min_n - min_d
-    return {e + shift: c for e, c in quot.items()}
+                               % (c, lead))
+        quot[top - deg_g + shift] = q
+        for gap, cg in below:
+            R[top - gap] -= q * cg
+    for deg_r in range(min(deg_g, len(R)) - 1, -1, -1):
+        if R[deg_r]:
+            raise NonDivisible("remainder of y-degree %d survives" % deg_r)
+    return quot
 
 
 def exact_divide(f, g):
@@ -339,6 +379,17 @@ def exact_divide(f, g):
     The denominator's lowest q-layer must divide every step exactly;
     otherwise NonDivisible is raised.  If g starts at q^m, the quotient
     is known to truncation min(N_f, N_g) - m.
+
+    Quotient layer k is the residue f_(k+m) - sum_(i<k) h_i g_(k+m-i)
+    divided by the lead layer g_m; only that Laurent division runs term
+    by term.  The sum is one packed convolution of the layers found so
+    far, packed as in the product.  It is exact: each of its digits sums
+    at most `out_trunc` layer pairs of at most min(terms per layer of h,
+    of g) digit products, each at most max|h| max|g| in size, the h
+    figures taken over the layers found so far.  The digit width covers
+    that bound with a sign bit; when a new quotient layer raises the
+    bound past it, the width at least doubles and h and g are repacked
+    before the next convolution.
     """
     if g.is_zero():
         raise NonDivisible("division by the zero series")
@@ -350,30 +401,41 @@ def exact_divide(f, g):
     g_layers = _q_layers(g, trunc)
     lead = g_layers[g_order]
     f_layers = _q_layers(f, trunc)
-    if any(f_layers[n] for n in range(min(g_order, trunc))):
+    if any(f_layers[:g_order]):
         raise NonDivisible("numerator has lower q-order than denominator")
 
     parity = (f.parity - g.parity) % 2
-    h_layers = []
+    g_max, g_len = _max_abs(g_layers), max(map(len, g_layers))
+    h_layers, h_max, h_len = [], 0, 0
+    size, h_packed, g_packed = 0, [], []
     terms = {}
     for k in range(out_trunc):
-        residue = dict(f_layers[k + g_order])
-        for i, h_i in enumerate(h_layers):
-            g_part = g_layers[k + g_order - i]
-            if not g_part or not h_i:
-                continue
-            for e1, c1 in h_i.items():
-                for e2, c2 in g_part.items():
-                    e = e1 + e2
-                    v = residue.get(e, 0) - c1 * c2
-                    if v:
-                        residue[e] = v
-                    else:
-                        residue.pop(e, None)
+        n = k + g_order
+        residue = dict(f_layers[n])
+        pairs = [(x, g_packed[n - i]) for i, x in h_packed if g_packed[n - i]]
+        if pairs:
+            for r2, c in _unpack(_convolve(pairs, size), size):
+                v = residue.get(r2, 0) - c
+                if v:
+                    residue[r2] = v
+                else:
+                    del residue[r2]
         h_k = _laurent_exact_div(residue, lead)
         h_layers.append(h_k)
+        if not h_k:
+            continue
         for e, c in h_k.items():
             terms[(k, e)] = c
+        h_max = max(h_max, _max_abs([h_k]))
+        h_len = max(h_len, len(h_k))
+        need = _digit_bytes(h_max * g_max * out_trunc * min(h_len, g_len))
+        if need > size:
+            size = max(need, 2 * size)
+            g_packed = [_pack(layer, size) if layer else None for layer in g_layers]
+            h_packed = [(i, _pack(layer, size)) for i, layer in enumerate(h_layers)
+                        if layer]
+        else:
+            h_packed.append((k, _pack(h_k, size)))
     result = QYSeries(terms, out_trunc, parity)
     if result._terms and any((r2 & 1) != result.parity for _, r2 in result._terms):
         raise MixedParity("quotient has inconsistent y-parity")

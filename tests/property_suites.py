@@ -7,10 +7,12 @@ default seed and returns the number actually run.
 
 import random
 
+import pytest
+
 from jfl import ring, spectral
 from jfl.generators import generator_table, stabilizer_power
 from jfl.lattice import determinant, mat_mul, smith_normal_form
-from jfl.series import QYSeries, exact_divide, make_series
+from jfl.series import NonDivisible, QYSeries, exact_divide, make_series
 
 
 def random_series(rng, truncation, parity, max_terms=6):
@@ -41,6 +43,60 @@ def dict_product(f, g):
             else:
                 out.pop(key, None)
     return QYSeries(out, trunc, (f.parity + g.parity) % 2)
+
+
+def _dict_laurent_div(num, den):
+    """Laurent division by descending degree over dicts, shifted to
+    ordinary polynomials and back; None if it leaves a remainder."""
+    min_n, min_d = min(num), min(den)
+    R = {e - min_n: c for e, c in num.items()}
+    G = {e - min_d: c for e, c in den.items()}
+    deg_g = max(G)
+    quot = {}
+    while R:
+        deg_r = max(R)
+        c, rem = divmod(R[deg_r], G[deg_g])
+        if deg_r < deg_g or rem:
+            return None
+        quot[deg_r - deg_g + min_n - min_d] = c
+        for eg, cg in G.items():
+            e = deg_r - deg_g + eg
+            v = R.get(e, 0) - c * cg
+            if v:
+                R[e] = v
+            else:
+                R.pop(e, None)
+    return quot
+
+
+def dict_exact_divide(f, g):
+    """The quotient h with g h = f layer by layer, each residue
+    f_(k+m) - sum h_i g_(k+m-i) a dict double loop: the oracle for the
+    packed convolution in exact_divide.  Raises NonDivisible where
+    exact_divide must."""
+    trunc = min(f.truncation, g.truncation)
+    f_layers, g_layers = ([{r2: c for (n, r2), c in src._terms.items() if n == k}
+                           for k in range(trunc)] for src in (f, g))
+    m = min((n for n, _ in g._terms), default=trunc)
+    if m >= trunc or any(f_layers[:m]):
+        raise NonDivisible("no quotient")
+    h_layers = []
+    for k in range(trunc - m):
+        residue = dict(f_layers[k + m])
+        for i, h_i in enumerate(h_layers):
+            for e1, c1 in h_i.items():
+                for e2, c2 in g_layers[k + m - i].items():
+                    v = residue.get(e1 + e2, 0) - c1 * c2
+                    if v:
+                        residue[e1 + e2] = v
+                    else:
+                        residue.pop(e1 + e2, None)
+        h_k = _dict_laurent_div(residue, g_layers[m]) if residue else {}
+        if h_k is None:
+            raise NonDivisible("remainder in layer %d" % k)
+        h_layers.append(h_k)
+    terms = {(k, e): c for k, h_k in enumerate(h_layers) for e, c in h_k.items()}
+    return QYSeries(terms, trunc - m, (f.parity - g.parity) % 2)
 
 
 def _assert_same_product(f, g):
@@ -107,6 +163,60 @@ def packed_width_edges(max_bits=40):
                              QYSeries.one(1))
         done += 1
     return done
+
+
+def _same_quotient(f, g):
+    """exact_divide(f, g) equals the dict oracle, or both raise
+    NonDivisible; returns whether a quotient came out."""
+    try:
+        want = dict_exact_divide(f, g)
+    except NonDivisible:
+        with pytest.raises(NonDivisible):
+            exact_divide(f, g)
+        return False
+    got = exact_divide(f, g)
+    assert got == want
+    assert (got.truncation, got.parity) == (want.truncation, want.parity)
+    return True
+
+
+def packed_quotient_matches_dict(cases=1000, seed=20260826):
+    """Seeded quotients f / g against the dict oracle.
+
+    g has a lead layer of 1-3 terms with non-unit coefficients and up to
+    10^30 in size, the quotient h starts small and may jump to 10^30
+    partway (so the packed width grows mid-division), and one case in
+    three adds a monomial to f = g h, which mostly leaves a remainder
+    that both paths must reject with NonDivisible.  Returns the number
+    of cases run; asserts that both outcomes occurred."""
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(cases):
+        t = rng.randrange(1, 13)
+        m = rng.randrange(min(t, 3))
+        pg, ph = rng.randrange(2), rng.randrange(2)
+        mag = rng.choice((9, 10 ** 6, 10 ** 30))
+        lead = [(m, 2 * d + pg, rng.choice((-1, 1)) * rng.choice(
+                    (rng.randrange(2, 10), rng.randrange(2, mag + 2))))
+                for d in rng.sample(range(-4, 5), rng.randrange(1, 4))]
+        rest = [(rng.randrange(m + 1, t), 2 * rng.randrange(-6, 7) + pg,
+                 rng.randrange(-mag, mag + 1))
+                for _ in range(rng.randrange(8) if m + 1 < t else 0)]
+        g = make_series(lead + rest, t, parity=pg)
+        jump = rng.randrange(t + 1)
+        h = make_series([(n, 2 * rng.randrange(-5, 6) + ph,
+                          rng.randrange(-3, 4) * (10 ** 30 if n >= jump else 1))
+                         for n in (rng.randrange(t) for _ in range(rng.randrange(12)))],
+                        t, parity=ph)
+        f = (g * h).truncate(rng.randrange(1, t + 1) if rng.randrange(4) == 0 else t)
+        if rng.randrange(3) == 0:
+            f = f + QYSeries.monomial(rng.choice((1, -1)) * rng.randrange(1, 5),
+                                      rng.randrange(f.truncation),
+                                      2 * rng.randrange(-6, 7) + (pg + ph) % 2,
+                                      f.truncation)
+        outcomes.add(_same_quotient(f, g))
+    assert outcomes == {True, False}
+    return cases
 
 
 def series_ring_axioms(cases=1000, seed=20260818):

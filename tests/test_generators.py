@@ -4,6 +4,7 @@ from operator import mul
 import pytest
 
 from jfl import generators
+from jfl.cli import main
 from jfl.generators import (CALIBRATION, discriminant, eisenstein_c4,
                             eisenstein_c6, gen_a, gen_b2, gen_b3, gen_b4,
                             gen_b8, generator_table, mf_embedding_report,
@@ -165,6 +166,34 @@ def test_generator_functions_match_table(tab):
     assert gen_b4(T) == tab.b4
     assert gen_b8(T) == tab.b8
     assert hash(tab) == hash(generator_table(T))  # frozen and hashable
+
+
+def test_table_builds_only_what_is_asked(monkeypatch, capsys):
+    # b2 and b4 alone need the theta-constant squares; a, b3 and b8 and
+    # `expand --gen a` must not touch them
+    def unreachable(*args):
+        raise AssertionError("theta squares built for a, b3 or b8")
+
+    monkeypatch.setattr(generators, "_xi_square_parts", unreachable)
+    monkeypatch.setattr(generators, "_xi_square", unreachable)
+    N = 13  # a truncation no other test caches
+    t = generator_table(N)
+    assert t.a == gen_a(N)
+    assert (t.b3, t.b8) == (gen_b3(N), gen_b8(N))
+    assert t == generators.GeneratorTable(N) != generator_table(N + 1)
+    assert hash(t) == hash(generators.GeneratorTable(N))
+    assert {t, generators.GeneratorTable(N)} == {t}
+    assert main(["expand", "--gen", "a", "--qmax", "14"]) == 0
+    assert capsys.readouterr().out.startswith("-y^(-1/2) + y^(1/2)")
+    with pytest.raises(AssertionError):
+        t.b2
+
+
+def test_squares_are_built_once(tab):
+    for name in ("a", "b2", "b3", "b4", "b8"):
+        s = tab.series_of(name)
+        assert tab.square(name) is tab.square(name)
+        assert tab.square(name) == dict_product(s, s)
 
 
 def test_truncation_respected():

@@ -3,8 +3,10 @@ import pytest
 from jfl.series import (BadExponent, MixedParity, NonDivisible, QYSeries,
                         SeriesError, exact_divide, make_series, render_json_dict,
                         render_text, series_from_json_dict)
-from property_suites import (exact_divide_round_trips,
-                             packed_product_matches_dict, packed_width_edges,
+from jfl import series
+from property_suites import (dict_exact_divide, exact_divide_round_trips,
+                             packed_product_matches_dict,
+                             packed_quotient_matches_dict, packed_width_edges,
                              series_ring_axioms)
 
 
@@ -112,8 +114,24 @@ def test_pow_matches_repeated_mul():
     f = make_series([(0, 0, 1), (1, 2, -2)], truncation=4)
     assert f ** 3 == f * f * f
     assert f ** 0 == QYSeries.one(4)
+    assert f ** 1 == f
+    assert f ** 6 == (f * f * f) * (f * f * f)
+    odd_zero = QYSeries.zero(4, parity=1)
+    assert (odd_zero ** 3).parity == 1
+    assert (odd_zero ** 2).is_zero()
     with pytest.raises(ValueError):
         f ** -1
+
+
+def test_divide_exact_by_an_int():
+    f = make_series([(0, 1, 8), (2, -1, -24)], truncation=3)
+    g = f.divide_exact(-8)
+    assert g == make_series([(0, 1, -1), (2, -1, 3)], truncation=3)
+    assert (g.truncation, g.parity) == (3, 1)
+    with pytest.raises(NonDivisible):
+        f.divide_exact(16)
+    with pytest.raises(NonDivisible):
+        f.divide_exact(0)
 
 
 def test_series_is_immutable():
@@ -181,3 +199,27 @@ def test_packed_product_matches_dict_product():
 
 def test_packed_product_at_the_digit_width_edge():
     assert packed_width_edges() >= 960
+
+
+def test_packed_quotient_matches_dict_quotient():
+    assert packed_quotient_matches_dict(1000) >= 1000
+
+
+def test_quotient_width_grows_partway(monkeypatch):
+    # small quotient layers first, then 10^30: the packed width must grow
+    # after the first layers and the convolutions stay exact
+    sizes = []
+    pack = series._pack
+
+    def recording_pack(layer, size):
+        sizes.append(size)
+        return pack(layer, size)
+
+    monkeypatch.setattr(series, "_pack", recording_pack)
+    g = make_series([(0, 1, 3), (0, -1, -2), (1, 3, 7), (2, -1, 5)], 6)
+    h = make_series([(0, 0, 1), (1, 2, -1), (2, 0, 2),
+                     (3, 2, 10 ** 30), (4, -2, -(10 ** 30)), (5, 0, 3)], 6)
+    f = g * h
+    sizes.clear()
+    assert exact_divide(f, g) == h == dict_exact_divide(f, g)
+    assert len(set(sizes)) >= 2 and max(sizes) > 2 * min(sizes)

@@ -367,6 +367,26 @@ def _page_map_without_torsion(target, images):
     return lambda x: phi({k: c for k, c in x.items() if not dict(k).get("h1")})
 
 
+def _page_map_with_a_torsion_twist(target, images):
+    # h1^s B2 C8 (s >= 1) also gains h1^s b2^5: the same term for every
+    # s, so it depends on d - s only, and a unitriangular change mod 2,
+    # so the sector stays bijective.  d3 of it is h1^(s+3) b2^4 mod 2,
+    # which phi(d3 (h1^s B2 C8)) = phi(h1^(s+3) C8) lacks: first met at
+    # (21, 1), after every free sector below it has passed
+    phi = _right_page_map(target, images)
+    twist = (("B2", 1), ("C8", 1))
+
+    def twisted(x):
+        terms = [(c, dict(k)) for k, c in phi(x).items()]
+        for key, c in x.items():
+            s = dict(key).get("h1", 0)
+            if s and tuple(p for p in key if p[0] != "h1") == twist:
+                terms.append((c, {"h1": s, "b2": 5}))
+        return target.normalize(terms)
+
+    return twisted
+
+
 # (name in spectral, replacement) per broken case
 BROKEN = {
     "crooked substitution": ("_substitution_images", _crooked_images),
@@ -375,6 +395,7 @@ BROKEN = {
     "sub page without C8": ("msu_sub_page", _sub_page_without_c8),
     "B3 survives h1": ("msu_sub_page", _sub_page_where_b3_survives_h1),
     "phi kills h1": ("_page_map", _page_map_without_torsion),
+    "torsion twist": ("_page_map", _page_map_with_a_torsion_twist),
 }
 
 
@@ -468,6 +489,14 @@ class TestSurjectivity:
             "degree": 1, "filtration": 1,
             "reason": "torsion-sector map not bijective mod 2"}
         assert report["bidegrees_checked"] == 2
+
+    def test_detects_a_torsion_sector_that_does_not_commute(self, monkeypatch):
+        monkeypatch.setattr(spectral, *BROKEN["torsion twist"])
+        report = surjectivity_check(0, 32)
+        assert report["first_failure"] == {
+            "degree": 21, "filtration": 1,
+            "reason": "differential does not commute"}
+        assert report["bidegrees_checked"] == 71
 
 
 def _without_h1(mons):
