@@ -129,7 +129,7 @@ def cmd_image(args):
     reps = [ring.render_element_text(ring.normal_form({mono: 1}))
             for mono in ring.cokernel_representatives(degree)]
     expected_rank = ring.expected_cokernel_rank(degree)
-    match = coker.rank == 0 and coker.torsion == (2,) * expected_rank
+    match = coker == ring.expected_cokernel(degree)
     payload = {"degree": degree,
                "cokernel": spectral.group_to_json(coker),
                "representatives": reps,
@@ -191,8 +191,7 @@ def _target_homotopy():
 
 def _image():
     for d in range(0, 65, 2):
-        coker = ring.cokernel(d)
-        if coker.rank or coker.torsion != (2,) * ring.expected_cokernel_rank(d):
+        if ring.cokernel(d) != ring.expected_cokernel(d):
             return False
     if not all(ring.in_image(g) for g in ring.IMAGE_GENERATORS):
         return False

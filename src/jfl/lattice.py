@@ -9,6 +9,8 @@ lattice membership).  Both are written for the small dense matrices
 this package produces; only the determinant works on sparse rows.
 """
 
+from math import gcd
+
 
 def xgcd(a, b):
     """Return (g, x, y) with g = gcd(a,b) >= 0 and g == a*x + b*y."""
@@ -327,38 +329,20 @@ def in_row_span(hnf_rows, vec):
     return not any(v)
 
 
-def _prime_power_split(d):
-    out = {}
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            out[p] = p ** e
-        p += 1
-    if d > 1:
-        out[d] = d
-    return out
-
-
 def invariant_factors(values):
-    """Rebuild a divisibility chain from an arbitrary multiset of orders > 1."""
-    by_prime = {}
-    for d in values:
-        for p, pk in _prime_power_split(d).items():
-            by_prime.setdefault(p, []).append(pk)
-    slots = max((len(v) for v in by_prime.values()), default=0)
+    """Rebuild a divisibility chain from an arbitrary multiset of orders > 1.
+
+    Each order joins the chain from the top by Z/a + Z/b = Z/gcd + Z/lcm:
+    the lcm stays in place and the gcd, which divides it, moves down.
+    """
     chain = []
-    for i in range(slots):
-        f = 1
-        for p, pks in by_prime.items():
-            pks_sorted = sorted(pks, reverse=True)
-            if i < len(pks_sorted):
-                f *= pks_sorted[i]
-        chain.append(f)
-    return tuple(sorted(chain))
+    for v in values:
+        for i in reversed(range(len(chain))):
+            g = gcd(chain[i], v)
+            chain[i], v = chain[i] // g * v, g
+        if v > 1:
+            chain.insert(0, v)
+    return tuple(chain)
 
 
 class FPAbelianGroup:
@@ -388,12 +372,6 @@ class FPAbelianGroup:
         diag = [d for d in snf_diagonal(rows) if d]
         torsion = tuple(d for d in diag if d > 1)
         return cls(ngens - len(diag), torsion)
-
-    def direct_sum(self, other):
-        return FPAbelianGroup(
-            self.rank + other.rank,
-            invariant_factors(list(self.torsion) + list(other.torsion)),
-        )
 
     @property
     def is_trivial(self):

@@ -20,7 +20,6 @@ from .series import QYSeries, render_signed_sum
 from .generators import generator_table, stabilizer_power
 
 GENERATOR_NAMES = ("b2", "b3", "b4", "b8")
-GENERATOR_DEGREES = (4, 6, 8, 16)
 
 
 class Inhomogeneous(ValueError):
@@ -308,6 +307,11 @@ def cokernel(d):
 def expected_cokernel_rank(d):
     """#{(m, n) >= 0 : 4(2m+1) + 16n = d}."""
     return len(cokernel_representatives(d))
+
+
+def expected_cokernel(d):
+    """The cokernel the b2^(2m+1) b8^n pattern predicts in degree d."""
+    return FPAbelianGroup(0, (2,) * expected_cokernel_rank(d))
 
 
 def cokernel_representatives(d):

@@ -21,7 +21,11 @@ exact over Z and takes two shortcuts, both inside homology_at:
               rewritten in kernel coordinates by one Smith form of
               the kernel basis per bidegree, not one per vector
 Bases come from one enumeration per page, memoized on (generator
-position, degree left) and built as immutable monomial keys.
+position, degree left) and built as immutable monomial keys.  A page
+has one monomial order: a key lists its factors in generator order, h1
+first, and the enumeration yields each basis with exponents descending
+generator by generator, so no basis is sorted.  The ring names
+b2, b3, b4, b8 are in tjf generator order.
 The surjectivity check applies phi_N to page monomials, in tjf
 coordinates: free sectors need a unimodular determinant, torsion sectors
 are checked over F2 once per d - s, and d3 commutation is a mod-2
@@ -236,7 +240,6 @@ def homology_at(chain):
 class PageGenerator:
     name: str
     degree: int
-    filtration: int = 0
     torsion_order: int = 0  # 0 means free, 2 means two-torsion
 
 
@@ -266,13 +269,9 @@ class PageSpec:
         return tuple(n for n in self.free_names if n not in self.torsion_killers)
 
 
-def _mono_key(exps):
-    return tuple(sorted((n, e) for n, e in exps.items() if e))
-
-
 def _page_key(mono):
-    """The page key of the ring monomial b2^a b3^b b4^e b8^g, canonical
-    because ring.GENERATOR_NAMES are in sorted order."""
+    """The tjf page key of the ring monomial b2^a b3^b b4^e b8^g, canonical
+    because ring.GENERATOR_NAMES are in tjf generator order."""
     return tuple((n, e) for n, e in zip(ring.GENERATOR_NAMES, mono) if e)
 
 
@@ -290,18 +289,21 @@ class BigradedPage:
 
     # ---- monomials ----
 
-    def _sort_key(self, key):
-        d = dict(key)
-        return tuple(-d.get(g.name, 0) for g in self.spec.generators)
+    def key(self, exps):
+        """The key of the monomial {name: exp}: its factors in generator
+        order, h1 first.  A name the page lacks, which a rewrite rule may
+        use, goes after them, by name."""
+        last = len(self._order)
+        return tuple(sorted(((n, e) for n, e in exps.items() if e),
+                            key=lambda f: (self._order.get(f[0], last), f[0])))
 
     def _enumerate(self, names, d):
-        """Monomial keys over `names` of total degree d, caps applied.
-
-        The names are walked in sorted order, so prepending a factor to
-        a tail keeps every key canonical; the tuple of keys for each
-        (position, degree left) is built once per page and shared.
+        """Monomial keys over `names` (in generator order) of total degree
+        d, caps applied, in basis order: exponents descending, generator by
+        generator.  Prepending a factor to a tail keeps every key in
+        generator order; the tuple of keys for each (position, degree
+        left) is built once per page and shared.
         """
-        names = tuple(sorted(names))
         memo = self._enum_memo.setdefault(names, {})
         degree, capped = self._degree, self.spec.rewrite_rules
 
@@ -319,18 +321,19 @@ class BigradedPage:
                 top = d // w
                 if name in capped:
                     top = min(top, 1)
-                out = list(tails(i + 1, d))
-                for e in range(1, top + 1):
+                out = []
+                for e in range(top, 0, -1):
                     out.extend(((name, e),) + t for t in tails(i + 1, d - e * w))
-                out = tuple(out)
+                out = tuple(out) + tails(i + 1, d)
             memo[(i, d)] = out
             return out
 
         return tails(0, d) if d >= 0 else ()
 
     def basis(self, d, s):
-        """Ordered monomials at (degree, filtration); filtration 0 is the
-        free sector, s >= 1 the h1^s two-torsion sector."""
+        """Ordered monomials at (degree, filtration), exponents descending
+        in generator order; filtration 0 is the free sector, s >= 1 the
+        h1^s two-torsion sector."""
         ck = (d, s)
         if ck in self._basis_cache:
             return self._basis_cache[ck]
@@ -339,9 +342,8 @@ class BigradedPage:
         elif s == 0:
             mons = self._enumerate(self.spec.free_names, d)
         else:
-            mons = [tuple(sorted(key + (("h1", s),)))
-                    for key in self._enumerate(self.spec.survivor_names, d - s)]
-        mons = tuple(sorted(mons, key=self._sort_key))
+            mons = tuple((("h1", s),) + key for key in
+                         self._enumerate(self.spec.survivor_names, d - s))
         self._basis_cache[ck] = mons
         return mons
 
@@ -384,20 +386,19 @@ class BigradedPage:
                         nm[n2] = nm.get(n2, 0) + e2
                     stack.append((c * rc, nm))
                 continue
-            if m.get("h1"):
+            torsion = m.get("h1")
+            if torsion:
                 if any(m.get(k) for k in self.spec.torsion_killers):
                     continue
                 c %= 2
                 if not c:
                     continue
-            key = _mono_key(m)
+            key = self.key(m)
             acc[key] = acc.get(key, 0) + c
+            if torsion:
+                acc[key] %= 2
             if acc[key] == 0:
                 del acc[key]
-            elif dict(key).get("h1"):
-                acc[key] %= 2
-                if acc[key] == 0:
-                    del acc[key]
         return acc
 
     def multiply(self, x, y):
@@ -413,17 +414,16 @@ class BigradedPage:
 
     def d3_monomial(self, key):
         """Signed Leibniz extension of the generator rule to a monomial."""
-        factors = sorted(key, key=lambda p: self._order[p[0]])
         out = []
         prefix_degree = 0
-        for i, (name, e) in enumerate(factors):
+        for name, e in key:
             w = self._degree[name]
             rule = self.spec.d3.get(name)
             if rule:
                 # sum over which copy of the factor is differentiated
                 inner = sum((-1) ** (j * w) for j in range(e))
                 sign = (-1) ** prefix_degree
-                rest = dict(factors)
+                rest = dict(key)
                 rest[name] = e - 1
                 for rc, rm in rule:
                     m = {k: v for k, v in rest.items() if v}
@@ -476,7 +476,7 @@ class BigradedPage:
 
 # -- the concrete pages --------------------------------------------------
 
-H1 = PageGenerator("h1", 1, 1, 2)
+H1 = PageGenerator("h1", 1, torsion_order=2)
 
 
 def _square_rule(b2, b, c):
@@ -671,8 +671,7 @@ def check_tjf_groups(max_degree=24):
         expected_lattice = ring.image_basis(d)
         lattice_match = aligned and lattice == expected_lattice
         coker = FPAbelianGroup.from_presentation(len(ring_basis), lattice)
-        coker_match = (coker.rank == 0
-                       and coker.torsion == (2,) * ring.expected_cokernel_rank(d))
+        coker_match = coker == ring.expected_cokernel(d)
         ok = ok and lattice_match and coker_match
         image_rows.append({
             "degree": d,
@@ -725,10 +724,9 @@ def _page_map(target, images):
     def phi(x):
         terms = []
         for key, c in x.items():
-            exps = dict(key)
-            s = exps.pop("h1", 0)
+            s = key[0][1] if key and key[0][0] == "h1" else 0
             terms.extend((c * c2, dict(k, h1=s))
-                         for k, c2 in free_image(_mono_key(exps)).items())
+                         for k, c2 in free_image(key[1:] if s else key).items())
         return target.normalize(terms)
 
     return phi
@@ -835,7 +833,7 @@ def surjectivity_check(n_param, max_degree):
     for d, s in ((d, s) for d in range(max_degree + 1) for s in range(d + 1)):
         broken = [name for rd, name, rule in rules if (rd, 0) == (d, s)
                   and phi({((name, 2),): 1})
-                  != phi({_mono_key(m): c for c, m in rule})]
+                  != phi({sub.key(m): c for c, m in rule})]
         if broken:
             reason = "substitution breaks the rewrite rule of " + ", ".join(broken)
         else:
