@@ -17,10 +17,9 @@ from .ring import (JFElement, Inhomogeneous, normal_form,
                    ONE, B2, B3, B4, B8, IMAGE_GENERATORS)
 from .lattice import (smith_normal_form, hermite_normal_form, kernel_basis,
                       determinant, FPAbelianGroup)
-from .spectral import (PageSpec, PageGenerator, BigradedPage, ChainGroup,
-                       ChainSlice, homology_at, NotAComplex,
-                       UnsupportedDegree, tjf_page, msu_page, msu_sub_page,
-                       homotopy_groups, free_kernel_lattice,
+from .spectral import (PageSpec, PageGenerator, BigradedPage, homology_at,
+                       NotAComplex, UnsupportedDegree, tjf_page, msu_page,
+                       msu_sub_page, homotopy_groups, free_kernel_lattice,
                        surjectivity_check, check_msu_table, check_tjf_groups,
                        DEVIATIONS)
 from .genus import (ChernData, chern_data, product_chern_data, milnor_m,

@@ -9,17 +9,16 @@ rule (degree -1, filtration +3) extended by the signed Leibniz formula.
 Realized bases per (degree, filtration) split into a free sector
 (filtration 0, monomials in the free generators) and 2-torsion sectors
 (filtration s >= 1, h1^s times monomials in the h1-survivors).
-Homology is computed by exact integer linear algebra via homology_at,
-which accepts arbitrary finitely generated chain groups.  It stays
-exact over Z and takes two shortcuts, both inside homology_at:
-  full rank   a free middle group with nothing coming in and a
-              pure-torsion target (every filtration-0 bidegree of
-              these pages) has homology Z^n, since the kernel of
-              Z^n -> (+) Z/t has finite index; the kernel lattice is
-              not built
-  one Smith   the middle group's relations and the incoming image are
-              rewritten in kernel coordinates by one Smith form of
-              the kernel basis per bidegree, not one per vector
+Homology is computed by exact integer linear algebra via
+homology_at(page, d, s), in the page's two shapes: Z^n at filtration 0
+and (Z/2)^n above it.
+  s = 0    nothing comes in and every target is torsion, so the
+           kernel of Z^n -> (Z/2)^rows has finite index and the
+           homology is Z^n; the kernel lattice is not built
+  s >= 1   the kernel of d3 mod 2 as a lattice over 2Z^n, modulo 2Z^n
+           and the incoming columns mod 2, zero and repeated ones
+           dropped; one Smith form per bidegree rewrites all relations
+           in kernel coordinates
 Bases come from one enumeration per page, memoized on (generator
 position, degree left) and built as immutable monomial keys.  A page
 has one monomial order: a key lists its factors in generator order, h1
@@ -53,7 +52,7 @@ __all__ = [
     "NotAComplex", "UnsupportedDegree", "DEVIATIONS",
     "max_degree_guard", "check_guard",
     "PageGenerator", "PageSpec", "BigradedPage",
-    "ChainGroup", "ChainSlice", "homology_at",
+    "homology_at",
     "tjf_page", "msu_page", "msu_sub_page",
     "homotopy_groups", "free_kernel_lattice",
     "surjectivity_check", "compare_homotopy", "check_msu_table",
@@ -107,131 +106,54 @@ def check_guard(value, what="degree bound"):
     return value
 
 
-# -- chain groups and generic homology ---------------------------------
+# -- homology in the page's two shapes ----------------------------------
 
-@dataclass(frozen=True)
-class ChainGroup:
-    """Z^free_rank plus cyclic summands; coordinates list free parts first."""
-    free_rank: int
-    torsion: tuple = ()
-
-    @property
-    def dim(self):
-        return self.free_rank + len(self.torsion)
-
-    def relation_rows(self):
-        n = self.dim
-        rows = []
-        for i, t in enumerate(self.torsion):
-            row = [0] * n
-            row[self.free_rank + i] = t
-            rows.append(row)
-        return rows
-
-
-TRIVIAL_GROUP = ChainGroup(0, ())
-
-
-@dataclass(frozen=True)
-class ChainSlice:
-    """prev --d_in--> mid --d_out--> nxt with matrices acting on columns."""
-    prev: ChainGroup
-    d_in: tuple
-    mid: ChainGroup
-    d_out: tuple
-    nxt: ChainGroup
-
-
-def _check_respects_torsion(matrix, src, dst, what):
-    # a coordinate of order t must land in something killed by t
-    for j in range(src.dim - len(src.torsion), src.dim):
-        t = src.torsion[j - src.free_rank]
-        for i, row in enumerate(matrix):
-            v = t * row[j]
-            if i < dst.free_rank:
-                if v:
-                    raise ValueError("%s does not respect torsion" % what)
-            elif v % dst.torsion[i - dst.free_rank]:
-                raise ValueError("%s does not respect torsion" % what)
-
-
-def _column_vanishes(col, group):
-    for i, v in enumerate(col):
-        if i < group.free_rank:
-            if v:
-                return False
-        elif v % group.torsion[i - group.free_rank]:
-            return False
-    return True
-
-
-def preimage_lattice(d_out, mid_dim, nxt):
-    """HNF basis of {x in Z^mid_dim : d_out @ x lies in the relation span of nxt}."""
-    if nxt.dim == 0 or not d_out:
+def preimage_lattice(d_out, mid_dim):
+    """HNF basis of {x in Z^mid_dim : d_out @ x = 0 mod 2}, the kernel of
+    a map into (Z/2)^rows: the kernel of [d_out | 2I], cut to x."""
+    if not d_out:
         return [[1 if i == j else 0 for j in range(mid_dim)]
                 for i in range(mid_dim)]
-    tn = len(nxt.torsion)
-    aug = []
-    for i in range(nxt.dim):
-        row = list(d_out[i]) + [0] * tn
-        if i >= nxt.free_rank:
-            row[mid_dim + (i - nxt.free_rank)] = nxt.torsion[i - nxt.free_rank]
-        aug.append(row)
-    ker = kernel_basis(aug, ncols=mid_dim + tn)
+    rows = len(d_out)
+    aug = [list(row) + [2 if i == j else 0 for j in range(rows)]
+           for i, row in enumerate(d_out)]
+    ker = kernel_basis(aug, ncols=mid_dim + rows)
     return hermite_normal_form([v[:mid_dim] for v in ker], mid_dim)
 
 
-def homology_at(chain):
-    """ker(d_out)/im(d_in) of a ChainSlice as an FPAbelianGroup.
+def homology_at(page, d, s):
+    """ker(d3)/im(d3) at (d, s) of the page, as an FPAbelianGroup.
 
-    Works for mixed free/torsion chain groups: kernels are taken as
-    preimages of the target's relation lattice, the incoming image and
-    the middle group's own relations are rewritten in kernel
-    coordinates (all against one Smith form of the kernel basis), and
-    the invariant factors are read off Smith form.  A free middle group
-    with nothing coming in and a pure-torsion target has homology
-    Z^mid.dim, answered without building the kernel lattice.
+    The group at (d, s) is Z^n at filtration 0 and (Z/2)^n above it,
+    and d3 raises filtration by 3; BigradedPage.basis and normalize
+    hard-wire that shape (h1 with 2h1 = 0), so no page can break it.
+      s = 0   nothing comes in and the target is pure torsion, so the
+              kernel of Z^n -> (Z/2)^rows has finite index: Z^n, and
+              the kernel lattice is not built
+      s >= 1  H is K / (2Z^n + incoming), with K = {x : d3 x = 0 mod 2};
+              the incoming columns count only mod 2, since 2Z^n is
+              already a relation, so zero and repeated ones are dropped,
+              and all relations are solved in K coordinates by one
+              Smith form
     """
-    prev, mid, nxt = chain.prev, chain.mid, chain.nxt
-    d_in = [list(r) for r in chain.d_in]
-    d_out = [list(r) for r in chain.d_out]
-    m = mid.dim
-    if m == 0:
-        return FPAbelianGroup(0)
-    incoming = bool(prev.dim and d_in)
-    if incoming:
-        _check_respects_torsion(d_in, prev, mid, "incoming matrix")
-    if mid.torsion and d_out:
-        _check_respects_torsion(d_out, mid, nxt, "outgoing matrix")
-
-    if incoming and d_out:
-        for j in range(prev.dim):
-            col = [sum(d_out[i][k] * d_in[k][j] for k in range(m))
-                   for i in range(nxt.dim)]
-            if not _column_vanishes(col, nxt):
-                raise NotAComplex("composite is nonzero at source coordinate %d" % j)
-
-    if not mid.torsion and not incoming and nxt.free_rank == 0:
-        # the kernel of Z^m -> (+) Z/t has finite index, so it is Z^m
+    m = len(page.basis(d, s))
+    if s == 0 or m == 0:
         return FPAbelianGroup(m)
-
-    kbasis = preimage_lattice(d_out, m, nxt)
-    k = len(kbasis)
-    if k == 0:
-        return FPAbelianGroup(0)
-
-    relation_vectors = mid.relation_rows()
-    if incoming:
-        for j in range(prev.dim):
-            relation_vectors.append([d_in[i][j] for i in range(m)])
-    if not relation_vectors:
-        # nothing to solve: skip the Smith form of a possibly huge basis
-        return FPAbelianGroup(k)
-
-    rows = solve_column_combination(transpose(kbasis), relation_vectors)
+    d_out = page.d3_matrix(d, s)
+    relations = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
+    if s >= 3:
+        incoming = dict.fromkeys(_mod2_columns(
+            page.d3_matrix(d + 1, s - 3), len(page.basis(d + 1, s - 3))))
+        incoming.pop(0, None)
+        if any(_mod2_product(_mod2_columns(d_out, m), incoming)):
+            raise NotAComplex("d3 o d3 is nonzero from (%d, %d)"
+                              % (d + 1, s - 3))
+        relations += [[(col >> i) & 1 for i in range(m)] for col in incoming]
+    kbasis = preimage_lattice(d_out, m)
+    rows = solve_column_combination(transpose(kbasis), relations)
     if any(y is None for y in rows):
         raise NotAComplex("image vector falls outside the kernel lattice")
-    return FPAbelianGroup.from_presentation(k, rows)
+    return FPAbelianGroup.from_presentation(len(kbasis), rows)
 
 
 # -- page description ---------------------------------------------------
@@ -347,10 +269,6 @@ class BigradedPage:
         self._basis_cache[ck] = mons
         return mons
 
-    def chain_group(self, d, s):
-        n = len(self.basis(d, s))
-        return ChainGroup(n, ()) if s == 0 else ChainGroup(0, (2,) * n)
-
     # ---- algebra ----
 
     def normalize(self, terms):
@@ -442,7 +360,7 @@ class BigradedPage:
                     del acc[k2]
         return self.normalize([(c, dict(k)) for k, c in acc.items()])
 
-    # ---- differential matrices and homology ----
+    # ---- differential matrices ----
 
     def d3_matrix(self, d, s):
         """Matrix of d3 from basis(d, s) to basis(d-1, s+3)."""
@@ -459,19 +377,6 @@ class BigradedPage:
         mat = tuple(tuple(r) for r in mat)
         self._matrix_cache[ck] = mat
         return mat
-
-    def chain_slice(self, d, s):
-        mid = self.chain_group(d, s)
-        if s >= 3:
-            prev = self.chain_group(d + 1, s - 3)
-            d_in = self.d3_matrix(d + 1, s - 3)
-        else:
-            prev, d_in = TRIVIAL_GROUP, ()
-        nxt = self.chain_group(d - 1, s + 3)
-        return ChainSlice(prev, d_in, mid, self.d3_matrix(d, s), nxt)
-
-    def homology(self, d, s):
-        return homology_at(self.chain_slice(d, s))
 
 
 # -- the concrete pages --------------------------------------------------
@@ -548,7 +453,7 @@ def homotopy_groups(page, max_degree):
     for n in range(max_degree + 1):
         rank, torsion = 0, []
         for s in range(n + 1):
-            h = page.homology(n, s)
+            h = homology_at(page, n, s)
             rank += h.rank
             torsion.extend(h.torsion)
         out[n] = FPAbelianGroup(rank, invariant_factors(torsion))
@@ -557,9 +462,7 @@ def homotopy_groups(page, max_degree):
 
 def free_kernel_lattice(page, d):
     """HNF rows of the d3-kernel lattice on the free sector in degree d."""
-    basis = page.basis(d, 0)
-    return preimage_lattice([list(r) for r in page.d3_matrix(d, 0)],
-                            len(basis), page.chain_group(d - 1, 3))
+    return preimage_lattice(page.d3_matrix(d, 0), len(page.basis(d, 0)))
 
 
 # -- hard-coded targets ---------------------------------------------------
