@@ -6,16 +6,17 @@ gamma) for b2^alpha b3^beta b4^epsilon b8^gamma with epsilon <= 1.
 These monomials are a free Z-basis, so equality is literal dictionary
 equality.  Degrees: |b2| = 4, |b3| = 6, |b4| = 8, |b8| = 16.
 
-The second half of the module computes, degree by degree, the lattice
-spanned by the subring generated by 2b2, b3, b4, b2^2, b2b3, b2b4, b8
-inside the full degree component, plus membership tests and the
-cokernel.  The quotient is elementary abelian 2-torsion concentrated
-on the monomials b2^(2m+1) b8^n.
+The second half of the module holds the image lattice: the degree-d
+piece of the subring generated by 2b2, b3, b4, b2^2, b2b3, b2b4, b8.
+It is diagonal in the monomial basis, 2 at each b2^(2m+1) b8^n and 1
+elsewhere, and each degree certifies that diagonal by induction from
+the lower ones.  Membership tests and the cokernel, a Z/2 for each
+b2^(2m+1) b8^n, read off the diagonal.
 """
 
 from functools import lru_cache
 
-from .lattice import FPAbelianGroup, hermite_normal_form, in_row_span
+from .lattice import FPAbelianGroup, in_row_span
 from .series import QYSeries, render_signed_sum
 from .generators import generator_table, stabilizer_power
 
@@ -260,31 +261,44 @@ IMAGE_GENERATORS = (
 
 @lru_cache(maxsize=None)
 def _image_lattice(d):
-    """HNF rows spanning the degree-d piece of the subring generated by
-    the seven image generators, in degree_basis(d) coordinates."""
-    if d == 0:
-        return ([1],)
+    """Diagonal of the HNF basis of the image lattice in degree d, in
+    degree_basis(d) coordinates: 2 at each b2^(2m+1) b8^n, 1 elsewhere.
+
+    Certified by induction on d.  Each generator times each row of a
+    lower degree must lie in this lattice, that is, be even at the
+    doubled monomials; and each row here must be, up to sign, one of
+    those products (or the unit, in degree 0).  Either failure raises
+    ArithmeticError naming the degree.
+    """
     basis = degree_basis(d)
-    if not basis:
-        return ()
-    index = {m: i for i, m in enumerate(basis)}
-    rows = []
+    doubled = set(cokernel_representatives(d))
+    products = {ONE}
     for gen in IMAGE_GENERATORS:
-        dg = gen.degree()
-        if dg > d:
+        low = d - gen.degree()
+        if low < 0:
             continue
-        for sub_row in _image_lattice(d - dg):
-            elem = gen * element_from_coords(sub_row, d - dg)
-            vec = [0] * len(basis)
-            for m, c in elem.coeffs.items():
-                vec[index[m]] = c
-            rows.append(vec)
-    return tuple(tuple(r) for r in hermite_normal_form(rows, len(basis)))
+        for m, c in zip(degree_basis(low), _image_lattice(low)):
+            p = gen * JFElement({m: c})
+            if any(v % 2 for k, v in p.coeffs.items() if k in doubled):
+                raise ArithmeticError(
+                    "image lattice fails in degree %d: %s is odd at a "
+                    "b2^(2m+1) b8^n" % (d, render_element_text(p)))
+            products.update((p, -p))
+    diag = tuple(2 if m in doubled else 1 for m in basis)
+    for m, c in zip(basis, diag):
+        if JFElement({m: c}) not in products:
+            raise ArithmeticError(
+                "image lattice fails in degree %d: %s is no generator times "
+                "a lower row" % (d, render_element_text(JFElement({m: c}))))
+    return diag
 
 
 def image_basis(d):
-    """Lattice basis (HNF rows) of the image in degree d."""
-    return [list(r) for r in _image_lattice(d)]
+    """Lattice basis (HNF rows) of the image in degree d: the rows of
+    the certified diagonal."""
+    diag = _image_lattice(d)
+    return [[c if i == j else 0 for j in range(len(diag))]
+            for i, c in enumerate(diag)]
 
 
 def in_image(x):
@@ -293,15 +307,13 @@ def in_image(x):
     if x.is_zero():
         return True
     d = x.degree()  # raises Inhomogeneous on mixed degrees
-    lattice = _image_lattice(d)
-    return in_row_span([list(r) for r in lattice], element_coords(x, d))
+    return in_row_span(image_basis(d), element_coords(x, d))
 
 
 def cokernel(d):
-    """Z^basis(d) modulo the image lattice, as an abelian group."""
-    basis = degree_basis(d)
-    return FPAbelianGroup.from_presentation(
-        len(basis), [list(r) for r in _image_lattice(d)])
+    """Z^basis(d) modulo the image lattice: a Z/2 for each 2 on the
+    certified diagonal."""
+    return FPAbelianGroup(0, (2,) * _image_lattice(d).count(2))
 
 
 def expected_cokernel_rank(d):
@@ -316,15 +328,7 @@ def expected_cokernel(d):
 
 def cokernel_representatives(d):
     """The monomials b2^(2m+1) b8^n of degree d, descending lex."""
-    out = []
-    n = 0
-    while 16 * n + 4 <= d:
-        rest = d - 16 * n
-        if rest % 4 == 0 and (rest // 4) % 2 == 1:
-            out.append((rest // 4, 0, 0, n))
-        n += 1
-    out.sort(reverse=True)
-    return out
+    return [m for m in degree_basis(d) if m[0] % 2 and m[1] == m[2] == 0]
 
 
 # -- rendering ---------------------------------------------------------

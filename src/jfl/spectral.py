@@ -496,17 +496,8 @@ def group_to_json(g):
 
 def expected_tjf_group(n):
     free = len(ring.degree_basis(n))
-    torsion = 0
-    for s in (1, 2):
-        rest = n - s
-        if rest < 0:
-            continue
-        g = 0
-        while 16 * g <= rest:
-            r = rest - 16 * g
-            if r % 8 == 0:  # b2^alpha with alpha = r/4 even
-                torsion += 1
-            g += 1
+    # h1^s b2^(2m) b8^g in degree s + k: k // 16 + 1 of them when 8 | k
+    torsion = sum(k // 16 + 1 for k in (n - 1, n - 2) if k >= 0 and k % 8 == 0)
     return FPAbelianGroup(free, (2,) * torsion)
 
 

@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
+from jfl import ring
 from jfl.generators import generator_table, stabilizer_power
 from jfl.ring import (B2, B3, B4, B8, IMAGE_GENERATORS, ONE, Inhomogeneous,
                       JFElement, cokernel, cokernel_representatives,
@@ -8,6 +11,7 @@ from jfl.ring import (B2, B3, B4, B8, IMAGE_GENERATORS, ONE, Inhomogeneous,
                       image_basis, in_image, monomial_degree,
                       monomial_index, normal_form, render_element_json,
                       render_element_text)
+from jfl.lattice import hermite_normal_form
 from property_suites import normal_form_homomorphism
 
 
@@ -126,15 +130,49 @@ def test_image_basis_degree4():
     assert image_basis(4) == [[2]]
 
 
-def test_image_basis_characterization():
-    # membership = evenness of the pure b2^odd * b8^k coordinates
-    for d in (12, 20, 24):
-        basis = degree_basis(d)
-        reps = set(cokernel_representatives(d))
-        for row in image_basis(d):
-            for m, c in zip(basis, row):
-                if m in reps:
-                    assert c % 2 == 0
+@lru_cache(maxsize=None)
+def _image_lattice_oracle(d):
+    """HNF rows spanning the degree-d piece of the subring generated by
+    the seven image generators, in degree_basis(d) coordinates."""
+    if d == 0:
+        return ([1],)
+    basis = degree_basis(d)
+    if not basis:
+        return ()
+    index = {m: i for i, m in enumerate(basis)}
+    rows = []
+    for gen in IMAGE_GENERATORS:
+        dg = gen.degree()
+        if dg > d:
+            continue
+        for sub_row in _image_lattice_oracle(d - dg):
+            elem = gen * element_from_coords(sub_row, d - dg)
+            vec = [0] * len(basis)
+            for m, c in elem.coeffs.items():
+                vec[index[m]] = c
+            rows.append(vec)
+    return tuple(tuple(r) for r in hermite_normal_form(rows, len(basis)))
+
+
+def test_image_basis_matches_the_hnf_oracle():
+    # the certified diagonal against the HNF of all generator products
+    for d in range(0, 129, 2):
+        assert image_basis(d) == [list(r) for r in _image_lattice_oracle(d)], d
+
+
+@pytest.mark.parametrize("generators, degree", [
+    ((B2,) + IMAGE_GENERATORS[1:], 4),  # b2 in place of 2b2
+    (IMAGE_GENERATORS[:4] + IMAGE_GENERATORS[5:], 10),  # b2b3 dropped
+])
+def test_image_certificate_rejects_a_broken_generator_set(
+        monkeypatch, generators, degree):
+    ring._image_lattice.cache_clear()
+    monkeypatch.setattr(ring, "IMAGE_GENERATORS", generators)
+    try:
+        with pytest.raises(ArithmeticError, match=r"degree %d\b" % degree):
+            cokernel(40)
+    finally:
+        ring._image_lattice.cache_clear()
 
 
 def test_cokernel_pins():
