@@ -19,6 +19,8 @@ and (Z/2)^n above it.
            and the incoming columns mod 2, zero and repeated ones
            dropped; one Smith form per bidegree rewrites all relations
            in kernel coordinates
+homotopy_groups computes H(n, s) once per (n - s, min(s, 4)), which
+fixes the basis, d3 mod 2 and the incoming columns of every s >= 1.
 Bases come from one enumeration per page, memoized on (generator
 position, degree left) and built as immutable monomial keys.  A page
 has one monomial order: a key lists its factors in generator order, h1
@@ -42,6 +44,7 @@ both target tables; with them every cross-check below matches.
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .lattice import (FPAbelianGroup, determinant, hermite_normal_form,
                       invariant_factors, kernel_basis,
@@ -182,11 +185,11 @@ class PageSpec:
     d3: dict
     max_degree: int
 
-    @property
+    @cached_property
     def free_names(self):
         return tuple(g.name for g in self.generators if g.torsion_order == 0)
 
-    @property
+    @cached_property
     def survivor_names(self):
         return tuple(n for n in self.free_names if n not in self.torsion_killers)
 
@@ -338,8 +341,8 @@ class BigradedPage:
             w = self._degree[name]
             rule = self.spec.d3.get(name)
             if rule:
-                # sum over which copy of the factor is differentiated
-                inner = sum((-1) ** (j * w) for j in range(e))
+                # sum of (-1)^(j w) over which copy j < e is differentiated
+                inner = e if w % 2 == 0 else e % 2
                 sign = (-1) ** prefix_degree
                 rest = dict(key)
                 rest[name] = e - 1
@@ -446,14 +449,25 @@ def homotopy_groups(page, max_degree):
     The page collapses after the cubic differential and the verified
     range shows no extension problems beyond the 2-divisibility already
     captured by the kernel lattices, so the direct sum is the answer.
+
+    H(n, s) is computed once per key (n - s, min(s, 4)) and shared, which
+    is exact: for s >= 1, basis(n, s) is h1^s times the survivor monomials
+    of degree k = n - s, and normalize reduces mod 2, so the sign (-1)^s
+    drops out and d3_matrix(n, s) is one matrix per k.  s = 1, 2 have
+    nothing coming in, s = 3 takes it from the free sector (n + 1, 0), so
+    its d3 o d3 check runs once per k, and every s >= 4 from the torsion
+    sector of degree k + 4.  The groups are immutable.
     """
     if max_degree > page.max_degree:
         raise UnsupportedDegree("page was built to degree %d" % page.max_degree)
-    out = {}
+    out, memo = {}, {}
     for n in range(max_degree + 1):
         rank, torsion = 0, []
         for s in range(n + 1):
-            h = homology_at(page, n, s)
+            key = (n - s, min(s, 4))
+            if key not in memo:
+                memo[key] = homology_at(page, n, s)
+            h = memo[key]
             rank += h.rank
             torsion.extend(h.torsion)
         out[n] = FPAbelianGroup(rank, invariant_factors(torsion))

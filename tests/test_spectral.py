@@ -4,7 +4,7 @@ import pytest
 
 from jfl import ring, spectral
 from jfl.genus import partitions_without_ones
-from jfl.lattice import FPAbelianGroup
+from jfl.lattice import FPAbelianGroup, invariant_factors
 from jfl.spectral import (DEVIATIONS, BigradedPage, NotAComplex,
                           UnsupportedDegree, check_msu_table,
                           check_tjf_groups, compare_homotopy,
@@ -133,6 +133,40 @@ def test_homotopy_groups_pinned_list():
         "Z", "Z/2", "Z/2", "0", "Z", "0", "Z", "0",
         "Z^2", "Z/2", "Z + Z/2",
     ]
+
+
+def _homotopy_groups_oracle(page, max_degree):
+    """homotopy_groups before it shared torsion sectors: homology_at
+    summed at every bidegree."""
+    out = {}
+    for n in range(max_degree + 1):
+        rank, torsion = 0, []
+        for s in range(n + 1):
+            h = homology_at(page, n, s)
+            rank += h.rank
+            torsion.extend(h.torsion)
+        out[n] = FPAbelianGroup(rank, invariant_factors(torsion))
+    return out
+
+
+@pytest.mark.parametrize("page_of", [tjf_page, msu_page])
+def test_homotopy_groups_match_the_per_bidegree_oracle(page_of):
+    guard = spectral.DEFAULT_MAX_DEGREE_GUARD
+    page = page_of(guard)
+    assert homotopy_groups(page, guard) == _homotopy_groups_oracle(page, guard)
+
+
+def test_homotopy_groups_compute_each_sector_key_once(monkeypatch):
+    # one call per (n - s, min(s, 4)): s = 0, 1, 2, 3 and s >= 4 through 64
+    calls = []
+
+    def counted(page, d, s):
+        calls.append((d, s))
+        return homology_at(page, d, s)
+
+    monkeypatch.setattr(spectral, "homology_at", counted)
+    homotopy_groups(msu_page(64), 64)
+    assert len(calls) == len(set(calls)) == 65 + 64 + 63 + 62 + 61
 
 
 def test_homotopy_groups_range_checked():
