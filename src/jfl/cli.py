@@ -5,26 +5,33 @@ error), a JSON-ready payload, and the list of adopted-assumption
 strings relevant to it.  Text output is deterministic; JSON output is
 the serialized CommandResult and survives a parse/re-dump round trip
 byte for byte.  Exit code 0 means ok, 1 mismatch, 2 error, also for
-an unexpected exception.
+an unexpected exception and for output that cannot be written.  Each
+command imports only the modules it runs.
 """
 
 import argparse
 import json
+import os
 import sys
 import traceback
-from dataclasses import dataclass, field
 
-from . import generators, genus, ring, spectral
-from .lattice import FPAbelianGroup
-from .series import render_text, render_json_dict
-from .spectral import DEVIATIONS, check_guard
+from .series import check_guard, render_json_dict, render_text
 
 
-@dataclass
 class CommandResult:
-    status: str
-    payload: dict
-    deviations: list = field(default_factory=list)
+    __hash__ = None
+
+    def __init__(self, status, payload, deviations=None):
+        self.status, self.payload = status, payload
+        self.deviations = [] if deviations is None else deviations
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return vars(self) == vars(other) if same else NotImplemented
+
+    def __repr__(self):
+        return "CommandResult(status=%r, payload=%r, deviations=%r)" % (
+            self.status, self.payload, self.deviations)
 
     def to_json(self):
         return {"status": self.status,
@@ -41,6 +48,7 @@ def _qmax(args):
 
 
 def cmd_expand(args):
+    from . import generators
     qmax = _qmax(args)
     table = generators.generator_table(qmax)
     s = table.series_of(args.gen)
@@ -51,6 +59,7 @@ def cmd_expand(args):
 
 
 def cmd_verify(args):
+    from . import generators
     qmax = _qmax(args)
     checks = {}
     if args.which in ("relation", "all"):
@@ -76,8 +85,13 @@ def _parse_chern(text):
 
 
 def cmd_genus(args):
+    from . import genus, ring
     data = genus.chern_data(args.dim // 2, **_parse_chern(args.chern))
-    element = genus.elliptic_genus(data)
+    try:
+        element = genus.elliptic_genus(data)
+    except genus.NonIntegralGenus as exc:
+        payload = {"error": str(exc), "value": str(exc.value)}
+        return CommandResult("error", payload), "error: %s" % exc
     chi = genus.euler_characteristic(data)
     text = ring.render_element_text(element)
     payload = {"dim": args.dim,
@@ -89,10 +103,12 @@ def cmd_genus(args):
 
 
 def _group_str(group):
+    from .lattice import FPAbelianGroup
     return str(FPAbelianGroup(group["rank"], tuple(group["torsion"])))
 
 
 def cmd_homotopy(args):
+    from . import spectral
     max_degree = check_guard(args.max_degree, "max degree")
     _, rows, ok = spectral.compare_homotopy(args.target, max_degree)
     lines = []
@@ -103,11 +119,13 @@ def cmd_homotopy(args):
                                            "ok" if row["match"] else "MISMATCH")
         lines.append(line)
     payload = {"target": args.target, "max_degree": max_degree, "rows": rows}
-    return (CommandResult("ok" if ok else "mismatch", payload, list(DEVIATIONS)),
+    return (CommandResult("ok" if ok else "mismatch", payload,
+                          list(spectral.DEVIATIONS)),
             "\n".join(lines))
 
 
 def cmd_surjectivity(args):
+    from . import spectral
     max_degree = check_guard(args.max_degree, "max degree")
     report = spectral.surjectivity_check(args.n_param, max_degree)
     if report["status"] == "ok":
@@ -122,6 +140,7 @@ def cmd_surjectivity(args):
 
 
 def cmd_image(args):
+    from . import lattice, ring
     if args.degree < 0 or args.degree % 2:
         raise ValueError("degree must be even and nonnegative")
     degree = check_guard(args.degree, "degree")
@@ -131,7 +150,7 @@ def cmd_image(args):
     expected_rank = ring.expected_cokernel_rank(degree)
     match = coker == ring.expected_cokernel(degree)
     payload = {"degree": degree,
-               "cokernel": spectral.group_to_json(coker),
+               "cokernel": lattice.group_to_json(coker),
                "representatives": reps,
                "expected_torsion_rank": expected_rank,
                "match": match}
@@ -148,7 +167,13 @@ def cmd_image(args):
 # SUITE is the one registry of the verification checks: verify-all runs
 # it, and criteria 1-8 of the acceptance gate call the same entries.
 
+def _relation():
+    from . import generators
+    return generators.verify_relation(9)
+
+
 def _anchors():
+    from . import generators
     table = generators.generator_table(2)
     checks = [
         render_text(table.b4).startswith("y^-1 + 4 + y"),
@@ -166,18 +191,21 @@ def _anchors():
 
 
 def _modular_embeddings():
+    from . import generators
     report = generators.mf_embedding_report(9)
     return (set(report) == {"c4", "c6", "delta", "mf_relation"}
             and all(report.values()))
 
 
 def _bordism_table():
+    from . import spectral
     report = spectral.check_msu_table(16)
     return (report["status"] == "ok"
             and all(r["match"] for r in report["rows"]))
 
 
 def _target_homotopy():
+    from . import spectral
     # pi_4 is carried by the doubled class: the image lattice is (2)
     if spectral.free_kernel_lattice(spectral.tjf_page(24), 4) != [[2]]:
         return False
@@ -185,11 +213,12 @@ def _target_homotopy():
     return (report["status"] == "ok"
             and all(r["match"] for r in report["rows"])
             and all(r["match"] for r in report["image_rows"])
-            and report["deviations_adopted"] == list(DEVIATIONS)
-            and len(DEVIATIONS) == 3)
+            and report["deviations_adopted"] == list(spectral.DEVIATIONS)
+            and len(spectral.DEVIATIONS) == 3)
 
 
 def _image():
+    from . import ring
     for d in range(0, 65, 2):
         if ring.cokernel(d) != ring.expected_cokernel(d):
             return False
@@ -199,6 +228,7 @@ def _image():
 
 
 def _surjectivity():
+    from . import spectral
     for n in (-1, 0, 1, 2):
         report = spectral.surjectivity_check(n, 32)
         if not (report["status"] == "ok" and report["first_failure"] is None
@@ -208,6 +238,7 @@ def _surjectivity():
 
 
 def _genus():
+    from . import genus, ring
     k3 = genus.chern_data(2, c2=24)
     sextic = genus.chern_data(4, c2sq=1350, c4=2610)
     g8 = genus.genus_deg8(sextic)
@@ -227,7 +258,7 @@ def _genus():
 
 
 SUITE = (
-    ("series relation through q^8", lambda: generators.verify_relation(9)),
+    ("series relation through q^8", _relation),
     ("generator anchors", _anchors),
     ("modular embeddings through q^8", _modular_embeddings),
     ("bordism table through degree 16", _bordism_table),
@@ -239,6 +270,7 @@ SUITE = (
 
 
 def cmd_verify_all(args):
+    from .spectral import DEVIATIONS
     checks = []
     for name, run in SUITE:
         try:
@@ -304,10 +336,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         result, text = args.fn(args)
-    except genus.NonIntegralGenus as exc:
-        result = CommandResult("error", {"error": str(exc),
-                                         "value": str(exc.value)})
-        text = "error: %s" % exc
     except ValueError as exc:
         result = CommandResult("error", {"error": str(exc)})
         text = "error: %s" % exc
@@ -317,9 +345,14 @@ def main(argv=None):
         result = CommandResult("error", {"error": message})
         text = "error: %s" % message
     if args.format == "json":
-        print(json.dumps(result.to_json(), indent=2))
-    else:
+        text = json.dumps(result.to_json(), indent=2)
+    try:
         print(text)
+        sys.stdout.flush()
+    except OSError:  # the reader is gone: as Python's SIGPIPE note advises,
+        # point stdout at devnull, so that the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return {"ok": 0, "mismatch": 1}.get(result.status, 2)
 
 

@@ -23,7 +23,6 @@ calibrated to square to MINUS a^2.  All identities below are certified
 with this convention; A_SQUARE_SIGN records it for reports.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import isqrt
 
@@ -139,7 +138,6 @@ def gen_b4(truncation):
     return _b4_from_parts(*_xi_square_parts(truncation))
 
 
-@dataclass(frozen=True)
 class GeneratorTable:
     """The five generators to one truncation, each built on first access.
 
@@ -147,9 +145,22 @@ class GeneratorTable:
     every series.  b2 and b4 share the theta-constant squares, and the
     identity checks share the squares of the generators (`square`).
     """
-    truncation: int
-    _squares: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+
+    def __init__(self, truncation):
+        self.__dict__.update(truncation=truncation, _squares={})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GeneratorTable is immutable")
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self.truncation == other.truncation if same else NotImplemented
+
+    def __hash__(self):
+        return hash((self.truncation,))
+
+    def __repr__(self):
+        return "GeneratorTable(truncation=%r)" % (self.truncation,)
 
     @cached_property
     def a(self):

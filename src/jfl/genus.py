@@ -10,11 +10,9 @@ Closed formulas are hard-coded through complex dimension 4, together
 with the Milnor-number bookkeeping used to pick minimal generators.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ring import JFElement, normal_form
-from .spectral import _substitution_images
 
 __all__ = [
     "UnsupportedDim", "NonIntegralGenus", "ChernData",
@@ -54,24 +52,24 @@ def partitions_without_ones(d):
     return tuple(p for p in _partitions(d, d) if not p or p[-1] >= 2)
 
 
-@dataclass(frozen=True)
 class ChernData:
     """Chern numbers of a stably SU manifold of complex dimension d.
 
     numbers maps partitions (descending tuples summing to d) to the
     value of the corresponding Chern monomial on the fundamental class.
     Partitions containing a 1 must map to 0; a missing 1-free partition
-    is filled in with 0.
+    is filled in with 0.  Values are immutable and, holding a dict,
+    unhashable.
     """
-    complex_dim: int
-    numbers: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        d = self.complex_dim
+    __hash__ = None
+
+    def __init__(self, complex_dim, numbers=None):
+        d = complex_dim
         if d < 1:
             raise ValueError("complex dimension must be positive")
         clean = {}
-        for part, v in self.numbers.items():
+        for part, v in (numbers or {}).items():
             part = tuple(sorted(part, reverse=True))
             if sum(part) != d or any(p < 1 for p in part):
                 raise ValueError("%r is not a partition of %d" % (part, d))
@@ -81,7 +79,18 @@ class ChernData:
             clean[part] = int(v)
         for part in partitions_without_ones(d):
             clean.setdefault(part, 0)
-        object.__setattr__(self, "numbers", clean)
+        self.__dict__.update(complex_dim=d, numbers=clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ChernData is immutable")
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return vars(self) == vars(other) if same else NotImplemented
+
+    def __repr__(self):
+        return "ChernData(complex_dim=%r, numbers=%r)" % (self.complex_dim,
+                                                          self.numbers)
 
     def number(self, *parts):
         return self.numbers.get(tuple(sorted(parts, reverse=True)), 0)
@@ -193,6 +202,7 @@ def generator_genus_table(n_param):
     the half class; every entry lands in the index-congruence image
     lattice for any integer choice of the undetermined parameter.
     """
+    from .spectral import _substitution_images
     images = _substitution_images(n_param)
     b2, b3, base_b4 = images["B2"], images["B3"], images["B4"]
     return {

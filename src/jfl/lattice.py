@@ -396,3 +396,7 @@ class FPAbelianGroup:
             parts.append("Z^%d" % self.rank)
         parts.extend("Z/%d" % t for t in self.torsion)
         return " + ".join(parts) if parts else "0"
+
+
+def group_to_json(g):
+    return {"rank": g.rank, "torsion": list(g.torsion)}

@@ -18,7 +18,6 @@ from functools import lru_cache
 
 from .lattice import FPAbelianGroup, in_row_span
 from .series import QYSeries, render_signed_sum
-from .generators import generator_table, stabilizer_power
 
 GENERATOR_NAMES = ("b2", "b3", "b4", "b8")
 
@@ -229,6 +228,7 @@ def eval_series(x, truncation):
     index = degree/2; mixed-degree input is lifted to the maximal index
     with the calibrated stabilizer powers.
     """
+    from .generators import generator_table, stabilizer_power
     x = normal_form(x)
     t = generator_table(truncation)
     if x.is_zero():

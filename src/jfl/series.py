@@ -21,6 +21,8 @@ by layer; each residue is one packed convolution of the quotient layers
 found so far, with a width that doubles when their bound outgrows it.
 """
 
+import os
+
 
 class SeriesError(ValueError):
     pass
@@ -491,3 +493,45 @@ def render_json_dict(f):
 def series_from_json_dict(obj):
     entries = [(t["q"], t["y2"], int(t["c"])) for t in obj["terms"]]
     return make_series(entries, obj["truncation"], parity=obj["parity"])
+
+
+# -- the degree guard, here because every command loads this module ----
+
+DEFAULT_MAX_DEGREE_GUARD = 64
+
+
+class UnsupportedDegree(ValueError):
+    """A degree bound exceeds the generator table or the global guard."""
+
+
+def _guard_setting():
+    """(guard, hint): the effective guard, and the hint an over-guard
+    error carries, which says so when JFL_MAX_DEGREE_GUARD was ignored."""
+    raw = os.environ.get("JFL_MAX_DEGREE_GUARD", "")
+    try:
+        value = int(raw) if raw else DEFAULT_MAX_DEGREE_GUARD
+    except ValueError:
+        value = -1
+    if value < 0:
+        return DEFAULT_MAX_DEGREE_GUARD, (
+            "JFL_MAX_DEGREE_GUARD=%r is not a nonnegative integer; "
+            "default used" % raw)
+    return value, "set JFL_MAX_DEGREE_GUARD to raise"
+
+
+def max_degree_guard():
+    """The effective guard: JFL_MAX_DEGREE_GUARD if it is a nonnegative
+    integer, else the default."""
+    return _guard_setting()[0]
+
+
+def check_guard(value, what="degree bound"):
+    """value itself if 0 <= value <= the guard, else UnsupportedDegree
+    naming the bound as `what`."""
+    if value < 0:
+        raise UnsupportedDegree("%s %d is negative" % (what, value))
+    cap, hint = _guard_setting()
+    if value > cap:
+        raise UnsupportedDegree(
+            "%s %d exceeds guard %d (%s)" % (what, value, cap, hint))
+    return value

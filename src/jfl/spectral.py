@@ -19,8 +19,9 @@ and (Z/2)^n above it.
            and the incoming columns mod 2, zero and repeated ones
            dropped; one Smith form per bidegree rewrites all relations
            in kernel coordinates
-homotopy_groups computes H(n, s) once per (n - s, min(s, 4)), which
-fixes the basis, d3 mod 2 and the incoming columns of every s >= 1.
+homotopy_groups computes H(n, s) once per n - s and sector kind (free,
+nothing coming in, fed by the free sector, fed by torsion), which fixes
+the basis, d3 mod 2 and the incoming columns of every s >= 1.
 Bases come from one enumeration per page, memoized on (generator
 position, degree left) and built as immutable monomial keys.  A page
 has one monomial order: a key lists its factors in generator order, h1
@@ -42,13 +43,13 @@ Without the first two, the degree-9 torsion would be (Z/2)^2 against
 both target tables; with them every cross-check below matches.
 """
 
-import os
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 
-from .lattice import (FPAbelianGroup, determinant, hermite_normal_form,
-                      invariant_factors, kernel_basis,
+from .lattice import (FPAbelianGroup, determinant, group_to_json,
+                      hermite_normal_form, invariant_factors, kernel_basis,
                       solve_column_combination, transpose)
+from .series import (DEFAULT_MAX_DEGREE_GUARD, UnsupportedDegree,
+                     _guard_setting, check_guard, max_degree_guard)
 from . import ring
 
 __all__ = [
@@ -65,48 +66,9 @@ __all__ = [
 
 DEVIATIONS = ("b4*h1=0", "B2n*h1=0", "squared relation")
 
-DEFAULT_MAX_DEGREE_GUARD = 64
-
 
 class NotAComplex(ValueError):
     """The would-be differentials do not compose to zero."""
-
-
-class UnsupportedDegree(ValueError):
-    """A degree bound exceeds the generator table or the global guard."""
-
-
-def _guard_setting():
-    """(guard, hint): the effective guard, and the hint an over-guard
-    error carries, which says so when JFL_MAX_DEGREE_GUARD was ignored."""
-    raw = os.environ.get("JFL_MAX_DEGREE_GUARD", "")
-    try:
-        value = int(raw) if raw else DEFAULT_MAX_DEGREE_GUARD
-    except ValueError:
-        value = -1
-    if value < 0:
-        return DEFAULT_MAX_DEGREE_GUARD, (
-            "JFL_MAX_DEGREE_GUARD=%r is not a nonnegative integer; "
-            "default used" % raw)
-    return value, "set JFL_MAX_DEGREE_GUARD to raise"
-
-
-def max_degree_guard():
-    """The effective guard: JFL_MAX_DEGREE_GUARD if it is a nonnegative
-    integer, else the default."""
-    return _guard_setting()[0]
-
-
-def check_guard(value, what="degree bound"):
-    """value itself if 0 <= value <= the guard, else UnsupportedDegree
-    naming the bound as `what`."""
-    if value < 0:
-        raise UnsupportedDegree("%s %d is negative" % (what, value))
-    cap, hint = _guard_setting()
-    if value > cap:
-        raise UnsupportedDegree(
-            "%s %d exceeds guard %d (%s)" % (what, value, cap, hint))
-    return value
 
 
 # -- homology in the page's two shapes ----------------------------------
@@ -161,37 +123,20 @@ def homology_at(page, d, s):
 
 # -- page description ---------------------------------------------------
 
-@dataclass(frozen=True)
-class PageGenerator:
-    name: str
-    degree: int
-    torsion_order: int = 0  # 0 means free, 2 means two-torsion
+# torsion_order 0 means free, 2 means two-torsion
+PageGenerator = namedtuple("PageGenerator", "name degree torsion_order",
+                           defaults=(0,))
 
+PageSpec = namedtuple("PageSpec", "label generators rewrite_rules "
+                      "torsion_killers d3 max_degree")
+PageSpec.__doc__ = """Generator-and-relation description of a bigraded page.
 
-@dataclass(frozen=True)
-class PageSpec:
-    """Generator-and-relation description of a bigraded page.
-
-    rewrite_rules maps a generator name g to the replacement of g^2 as
-    a tuple of (coeff, {name: exp}) terms; such generators are capped
-    at exponent 1 in every realized basis.  torsion_killers lists the
-    generators with g*h1 = 0.  d3 maps generator names to their
-    differential, again as (coeff, {name: exp}) terms.
-    """
-    label: str
-    generators: tuple
-    rewrite_rules: dict
-    torsion_killers: frozenset
-    d3: dict
-    max_degree: int
-
-    @cached_property
-    def free_names(self):
-        return tuple(g.name for g in self.generators if g.torsion_order == 0)
-
-    @cached_property
-    def survivor_names(self):
-        return tuple(n for n in self.free_names if n not in self.torsion_killers)
+rewrite_rules maps a generator name g to the replacement of g^2 as
+a tuple of (coeff, {name: exp}) terms; such generators are capped
+at exponent 1 in every realized basis.  torsion_killers lists the
+generators with g*h1 = 0.  d3 maps generator names to their
+differential, again as (coeff, {name: exp}) terms.
+"""
 
 
 def _page_key(mono):
@@ -201,11 +146,18 @@ def _page_key(mono):
 
 
 class BigradedPage:
-    """A PageSpec realized: ordered monomial bases and d3 matrices."""
+    """A PageSpec realized: ordered monomial bases and d3 matrices.
+
+    free_names are the generators of filtration 0, survivor_names those
+    of them that h1 does not kill, both in generator order."""
 
     def __init__(self, spec):
         self.spec = spec
         self.max_degree = spec.max_degree
+        self.free_names = tuple(g.name for g in spec.generators
+                                if g.torsion_order == 0)
+        self.survivor_names = tuple(n for n in self.free_names
+                                    if n not in spec.torsion_killers)
         self._degree = {g.name: g.degree for g in spec.generators}
         self._order = {g.name: i for i, g in enumerate(spec.generators)}
         self._basis_cache = {}
@@ -265,10 +217,10 @@ class BigradedPage:
         if d < 0 or s < 0:
             mons = ()
         elif s == 0:
-            mons = self._enumerate(self.spec.free_names, d)
+            mons = self._enumerate(self.free_names, d)
         else:
             mons = tuple((("h1", s),) + key for key in
-                         self._enumerate(self.spec.survivor_names, d - s))
+                         self._enumerate(self.survivor_names, d - s))
         self._basis_cache[ck] = mons
         return mons
 
@@ -450,13 +402,15 @@ def homotopy_groups(page, max_degree):
     range shows no extension problems beyond the 2-divisibility already
     captured by the kernel lattices, so the direct sum is the answer.
 
-    H(n, s) is computed once per key (n - s, min(s, 4)) and shared, which
-    is exact: for s >= 1, basis(n, s) is h1^s times the survivor monomials
+    H(n, s) is computed once per key (n - s, kind) and shared, kind being
+    0 at s = 0, 2 at s = 1, 2, 3 at s = 3 and 4 at s >= 4.  That is
+    exact: for s >= 1, basis(n, s) is h1^s times the survivor monomials
     of degree k = n - s, and normalize reduces mod 2, so the sign (-1)^s
     drops out and d3_matrix(n, s) is one matrix per k.  s = 1, 2 have
-    nothing coming in, s = 3 takes it from the free sector (n + 1, 0), so
-    its d3 o d3 check runs once per k, and every s >= 4 from the torsion
-    sector of degree k + 4.  The groups are immutable.
+    nothing coming in, so they share one group; s = 3 takes it from the
+    free sector (n + 1, 0), so its d3 o d3 check runs once per k, and
+    every s >= 4 from the torsion sector of degree k + 4.  The groups are
+    immutable.
     """
     if max_degree > page.max_degree:
         raise UnsupportedDegree("page was built to degree %d" % page.max_degree)
@@ -464,7 +418,7 @@ def homotopy_groups(page, max_degree):
     for n in range(max_degree + 1):
         rank, torsion = 0, []
         for s in range(n + 1):
-            key = (n - s, min(s, 4))
+            key = (n - s, 0 if s == 0 else max(2, min(s, 4)))
             if key not in memo:
                 memo[key] = homology_at(page, n, s)
             h = memo[key]
@@ -502,10 +456,6 @@ MSU_EXPECTED_TABLE = {
     15: (0, ()),
     16: (7, ()),
 }
-
-
-def group_to_json(g):
-    return {"rank": g.rank, "torsion": list(g.torsion)}
 
 
 def expected_tjf_group(n):

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import pytest
 
@@ -268,3 +270,18 @@ def test_verify_all_json(run):
     assert parsed["payload"]["overall"] == "ok"
     assert len(parsed["payload"]["checks"]) == 8
     assert json.dumps(parsed, indent=2) + "\n" == out
+
+
+def test_unwritable_stdout_exits_2(monkeypatch, capsys):
+    # a pipe whose reader is gone: every line written raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", buffering=1) as gone:
+        with pytest.raises(BrokenPipeError):
+            gone.write("\n")
+        monkeypatch.setattr(sys, "stdout", gone)
+        assert main(["verify", "--qmax", "1"]) == 2
+        # stdout now points at devnull, so closing it flushes nothing
+        # into the broken pipe
+        assert os.path.samestat(os.fstat(gone.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""

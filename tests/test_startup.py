@@ -1,0 +1,111 @@
+"""Start-up cost, checked in fresh interpreters: `import jfl.cli` and each
+command load only the modules they run.  (pytest has imported every
+module already, so these checks cannot run in-process.)"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENV = dict(os.environ, PYTHONPATH=SRC)
+
+# runs `jfl.cli.main(argv)` if argv is given, then writes the loaded
+# module names to stderr as its last line
+PROBE = """
+import json, sys
+import jfl.cli
+code = jfl.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+sys.stderr.write("\\n" + json.dumps(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+JFL = ("generators", "ring", "lattice", "spectral", "genus")
+
+# every name `import jfl` bound before its exports became lazy
+EXPORTS = """
+    series generators ring lattice spectral genus
+    QYSeries SeriesError MixedParity BadExponent NonDivisible make_series
+    exact_divide render_text render_json_dict series_from_json_dict
+    generator_table gen_a gen_b2 gen_b3 gen_b4 gen_b8 theta_quotient
+    stabilizer_power eisenstein_c4 eisenstein_c6 discriminant
+    verify_relation verify_mf_embedding mf_embedding_report CALIBRATION
+    JFElement Inhomogeneous normal_form degree_basis element_coords
+    element_from_coords eval_series in_image image_basis cokernel
+    cokernel_representatives render_element_text render_element_json
+    element_from_json ONE B2 B3 B4 B8 IMAGE_GENERATORS
+    smith_normal_form hermite_normal_form kernel_basis determinant
+    FPAbelianGroup
+    PageSpec PageGenerator BigradedPage homology_at NotAComplex
+    UnsupportedDegree tjf_page msu_page msu_sub_page homotopy_groups
+    free_kernel_lattice surjectivity_check check_msu_table
+    check_tjf_groups DEVIATIONS
+    ChernData chern_data product_chern_data milnor_m milnor_s
+    euler_characteristic genus_deg4 genus_deg6 genus_deg8 elliptic_genus
+    generator_genus_table NonIntegralGenus UnsupportedDim
+    """.split()
+
+
+def _probe(*argv):
+    """(exit code, loaded module names) of one fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=ENV,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
+    return proc.returncode, set(json.loads(proc.stderr.rpartition("\n")[2]))
+
+
+def test_importing_the_cli_loads_no_computation():
+    code, modules = _probe()
+    assert code == 0
+    assert not modules & {"jfl." + m for m in JFL}
+    assert not modules & {"dataclasses", "fractions"}
+
+
+@pytest.mark.parametrize("argv, exit_code, absent", [
+    (("expand", "--gen", "b2", "--qmax", "5"), 0,
+     ("spectral", "lattice", "ring", "genus")),
+    (("verify", "--qmax", "3"), 0, ("spectral", "lattice", "ring", "genus")),
+    (("homotopy", "--target", "tjf", "--max-degree", "8"), 0,
+     ("genus", "generators", "dataclasses")),
+    (("surjectivity", "--n-param", "1", "--max-degree", "8"), 0,
+     ("genus", "generators", "dataclasses")),
+    (("image", "--degree", "8"), 0,
+     ("genus", "generators", "dataclasses", "spectral")),
+    (("genus", "--dim", "8", "--chern", "c2sq=1,c4=1"), 2,
+     ("generators", "spectral")),
+    (("verify-all",), 0, ()),
+])
+def test_each_command_loads_only_its_modules(argv, exit_code, absent):
+    code, modules = _probe(*argv)
+    assert code == exit_code
+    assert "jfl.series" in modules
+    for name in absent:
+        assert name not in modules and "jfl." + name not in modules
+
+
+def test_every_export_still_imports_from_the_package():
+    check = ("import jfl, sys\n"
+             "from jfl import *\n"
+             "names = sys.argv[1:]\n"
+             "missing = [n for n in names if n not in globals()]\n"
+             "assert not missing, missing\n"
+             "assert sorted(jfl.__all__) == sorted(names), jfl.__all__\n")
+    proc = subprocess.run([sys.executable, "-c", check, *EXPORTS], env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_closed_pipe_exits_2_without_a_traceback():
+    # the reader is gone before the command writes, as in `jfl ... | head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "jfl.cli", "verify", "--qmax", "1"],
+            env=ENV, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")
