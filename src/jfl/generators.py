@@ -7,12 +7,14 @@ builds them all, eta^3 included.  a is a theta block over eta^3, b3 and
 b8 are quotients of theta blocks, and b2 and b4 come from the squares
 of the three normalized theta functions theta_00, theta_01, theta_10,
 which live on a doubled q-grid (Q^2 = q) and are folded back once the
-odd half-orders cancel.
+odd half-orders cancel.  Only two of the squares are built: since
+theta_01(Q) = theta_00(-Q), the theta_01 square is the theta_00 square
+with its odd Q-orders negated.
 
 `generator_table(T)` caches one GeneratorTable per truncation, and the
 table builds each generator on first access: `expand --gen a` builds a
-alone.  It also keeps the generator squares that the identity checks
-share.
+alone.  It also keeps the generator squares and b2 b3^2, which the
+identity checks share.
 
 Sign calibration: the index-raising padding used to compare a weight-k
 form against ring elements is stabilizer_power(a, k) = (-1)^(k//2) a^k,
@@ -106,25 +108,33 @@ def _xi_square(theta):
 
 
 def _xi_square_parts(truncation):
-    """(A, B, C) = 4 xi_00^2, 4 xi_01^2, 4 xi_10^2 on the doubled grid,
-    from theta_00, theta_01 = sum (+-1)^n Q^(n^2) y^n and theta_10 =
-    sum Q^(n(n+1)) y^((2n+1)/2)."""
+    """(E, O, C) on the doubled grid: E and O the even and odd Q-orders
+    of A = 4 xi_00^2, and C = 4 xi_10^2, from theta_00 = sum Q^(n^2) y^n
+    and theta_10 = sum Q^(n(n+1)) y^((2n+1)/2).  B = 4 xi_01^2 needs no
+    theta square of its own: theta_01(Q) = theta_00(-Q), so B = A(-Q)
+    = E - O."""
     M = 2 * truncation
-    return (_xi_square(_theta_sum(M, 0, _one, doubled=True)),
-            _xi_square(_theta_sum(M, 0, doubled=True)),
+    A = _xi_square(_theta_sum(M, 0, _one, doubled=True))
+    halves = ({}, {})
+    for (n, r2), c in A._terms.items():
+        halves[n % 2][(n, r2)] = c
+    return (QYSeries(halves[0], M, A.parity), QYSeries(halves[1], M, A.parity),
             _xi_square(_theta_sum(M, 1, _one, doubled=True)))
 
 
-def _b2_from_parts(A, B, C):
-    return _fold_doubled_q(A + B + C)
+def _b2_from_parts(E, O, C):
+    # A + B + C with A + B = 2E
+    return _fold_doubled_q(E.scale(2) + C)
 
 
-def _b4_from_parts(A, B, C):
-    return _fold_doubled_q((A * B + (A + B) * C).divide_exact(8))
+def _b4_from_parts(E, O, C):
+    # (AB + (A + B) C)/8 with AB = (E + O)(E - O) = E^2 - O^2
+    return _fold_doubled_q((E * E - O * O + (E * C).scale(2)).divide_exact(8))
 
 
 def gen_b2(truncation):
-    """The index-2 weight-0 generator, q^0 part y + 10 + y^{-1}."""
+    """The index-2 weight-0 generator, q^0 part y + 10 + y^{-1}:
+    A + B + C, folded."""
     return _b2_from_parts(*_xi_square_parts(truncation))
 
 
@@ -133,7 +143,7 @@ def gen_b4(truncation):
 
     Built from the elementary symmetric combination of the three
     normalized theta squares: with A, B, C as above this is
-    (AB + BC + CA)/8, an exact division.
+    (AB + BC + CA)/8, an exact division, here (E^2 - O^2 + 2EC)/8.
     """
     return _b4_from_parts(*_xi_square_parts(truncation))
 
@@ -143,7 +153,8 @@ class GeneratorTable:
 
     Equality and hash follow the truncation alone, which determines
     every series.  b2 and b4 share the theta-constant squares, and the
-    identity checks share the squares of the generators (`square`).
+    identity checks share the squares of the generators (`square`) and
+    b2 b3^2 (`b2_b3_square`).
     """
 
     def __init__(self, truncation):
@@ -191,6 +202,11 @@ class GeneratorTable:
 
     def series_of(self, name):
         return getattr(self, name)
+
+    @cached_property
+    def b2_b3_square(self):
+        """b2 b3^2, in the relation and the delta identity."""
+        return self.b2 * self.square("b3")
 
     def square(self, name):
         """The square of generator `name`, built once per table."""
@@ -262,13 +278,16 @@ def verify_discriminant_identity(truncation):
 def verify_relation(truncation):
     """4 b8 + b4^2 - b2 b3^2 vanishes to the given truncation."""
     t = generator_table(truncation)
-    return (t.b8.scale(4) + t.square("b4") - t.b2 * t.square("b3")).is_zero()
+    return (t.b8.scale(4) + t.square("b4") - t.b2_b3_square).is_zero()
 
 
 def mf_embedding_report(truncation):
     """Per-identity results for the weight 4, 6, 12 embedding rows.
 
-    Each power of a is built once: a^6 = a^4 a^2 and a^12 = a^6 a^6."""
+    Each power of a is built once: a^6 = a^4 a^2 and a^12 = a^6 a^6.
+    The right-hand sides are grouped to need few products:
+      c6     b2 (36 b4 - b2^2) - 216 b3^2
+      delta  -b2^2 b8 - 27 (b3^2)^2 + b4 (9 b2 b3^2 - 8 b4^2)"""
     t = generator_table(truncation)
     b2, b4 = t.b2, t.b4
     b2_2, b3_2 = t.square("b2"), t.square("b3")
@@ -278,10 +297,10 @@ def mf_embedding_report(truncation):
               == b2_2 - b4.scale(24)}
     a6 = a4 * a2
     report["c6"] = (eisenstein_c6(truncation) * _calibrated(a6, 6)
-                    == -(b2_2 * b2) + (b2 * b4).scale(36) - b3_2.scale(216))
+                    == b2 * (b4.scale(36) - b2_2) - b3_2.scale(216))
     report["delta"] = (discriminant(truncation) * _calibrated(a6 * a6, 12)
-                       == -(b2_2 * t.b8) - (t.square("b4") * b4).scale(8)
-                       - (b3_2 * b3_2).scale(27) + (b2 * b3_2 * b4).scale(9))
+                       == -(b2_2 * t.b8) - (b3_2 * b3_2).scale(27)
+                       + b4 * (t.b2_b3_square.scale(9) - t.square("b4").scale(8)))
     report["mf_relation"] = verify_discriminant_identity(truncation)
     return report
 

@@ -14,14 +14,17 @@ Products run one q-layer at a time.  Each q-layer is packed into a
 single int by Kronecker substitution in y, starting from its own least
 y-exponent, so a layer-pair product is one big-int multiplication in C
 and is shifted into place before the pairs are summed.  The digit width
-is fixed per product from a bound on every output coefficient, so the
-packed digits never carry into each other and the product is exact over
-Z (see ``QYSeries.__mul__``).  ``exact_divide`` finds the quotient layer
-by layer; each residue is one packed convolution of the quotient layers
-found so far, with a width that doubles when their bound outgrows it.
+is fixed per product from a bound taken per output layer, which bounds
+every output coefficient, so the packed digits never carry into each
+other and the product is exact over Z (see ``QYSeries.__mul__``).  A
+square multiplies each unordered layer pair once.  ``exact_divide``
+finds the quotient layer by layer; each residue is one packed
+convolution of the quotient layers found so far, with a width that
+doubles when their bound outgrows it.
 """
 
 import os
+from operator import mul
 
 
 class SeriesError(ValueError):
@@ -142,13 +145,16 @@ class QYSeries:
         digit c at position (r2 - lo)/2 in base 2^w.  Output layer n is
         the sum of the layer-pair products A_i * B_(n-i), each shifted
         up by its own low end lo_i + lo_(n-i) less the least of them.
+        A square (`other is self`) multiplies each unordered layer pair
+        once: x * x on the diagonal, (x << 1) * y off it.
 
-        The product is exact.  An output coefficient sums at most
-        trunc layer pairs, and in each pair at most min(terms per layer
-        of either operand) digit products, each at most max|a| max|b|
-        in size.  w is that bound's bit length plus a sign bit, so every
-        output digit lies strictly inside (-2^(w-1), 2^(w-1)), and
-        `_unpack` reads each digit back from its own w-bit slice.
+        The product is exact.  A coefficient of output layer n sums, for
+        each i, digits of B_(n-i) times digits of A_i, so it is at most
+        sum_i |A_i|_1 max|B_(n-i)|, |A_i|_1 being the sum of the absolute
+        values in A_i.  w is the bit length of the largest of these
+        per-layer bounds plus a sign bit, so every output digit lies
+        strictly inside (-2^(w-1), 2^(w-1)), and `_unpack` reads each
+        digit back from its own w-bit slice.
         """
         if isinstance(other, int):
             return self.scale(other)
@@ -157,18 +163,35 @@ class QYSeries:
         trunc = min(self.truncation, other.truncation)
         parity = (self.parity + other.parity) % 2
         a_layers = _q_layers(self, trunc)
-        b_layers = _q_layers(other, trunc)
-        if not any(a_layers) or not any(b_layers):
+        b_layers = a_layers if other is self else _q_layers(other, trunc)
+        norms = [sum(map(abs, layer.values())) for layer in a_layers]
+        tops = [max(map(abs, layer.values()), default=0) for layer in b_layers]
+        if not any(norms) or not any(tops):
             return QYSeries({}, trunc, parity)
-        size = _digit_bytes(_max_abs(a_layers) * _max_abs(b_layers) * trunc
-                            * min(max(map(len, a_layers)), max(map(len, b_layers))))
-        a_packed = [(i, _pack(layer, size)) for i, layer in enumerate(a_layers)
-                    if layer]
-        b_packed = [_pack(layer, size) if layer else None for layer in b_layers]
+        size = _digit_bytes(max(sum(map(mul, norms, tops[n::-1]))
+                                for n in range(trunc)))
+        a_packed = [(i, _pack(layer, size))
+                    for i, layer in enumerate(a_layers) if layer]
+        pairs_at = [[] for _ in range(trunc)]
+        if other is self:
+            for k, (i, x) in enumerate(a_packed):
+                if 2 * i < trunc:
+                    pairs_at[2 * i].append((x, x))
+                twice = (x[0], x[1] << 1)
+                for j, y in a_packed[k + 1:]:
+                    if i + j >= trunc:
+                        break
+                    pairs_at[i + j].append((twice, y))
+        else:
+            b_packed = [(j, _pack(layer, size))
+                        for j, layer in enumerate(b_layers) if layer]
+            for i, x in a_packed:
+                for j, y in b_packed:
+                    if i + j >= trunc:
+                        break
+                    pairs_at[i + j].append((x, y))
         out = {}
-        for n in range(trunc):
-            pairs = [(x, b_packed[n - i]) for i, x in a_packed
-                     if i <= n and b_packed[n - i]]
+        for n, pairs in enumerate(pairs_at):
             if pairs:
                 out.update(((n, r2), c)
                            for r2, c in _unpack(_convolve(pairs, size), size))

@@ -99,7 +99,8 @@ def homology_at(page, d, s):
               the incoming columns count only mod 2, since 2Z^n is
               already a relation, so zero and repeated ones are dropped,
               and all relations are solved in K coordinates by one
-              Smith form
+              Smith form; at s = 3 they come from the free monomials
+              that can reach h1^3 (`_free_incoming`), not a dense matrix
     """
     m = len(page.basis(d, s))
     if s == 0 or m == 0:
@@ -107,8 +108,9 @@ def homology_at(page, d, s):
     d_out = page.d3_matrix(d, s)
     relations = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
     if s >= 3:
-        incoming = dict.fromkeys(_mod2_columns(
-            page.d3_matrix(d + 1, s - 3), len(page.basis(d + 1, s - 3))))
+        incoming = dict.fromkeys(_free_incoming(page, d) if s == 3 else
+                                 _mod2_columns(page.d3_matrix(d + 1, s - 3),
+                                               len(page.basis(d + 1, s - 3))))
         incoming.pop(0, None)
         if any(_mod2_product(_mod2_columns(d_out, m), incoming)):
             raise NotAComplex("d3 o d3 is nonzero from (%d, %d)"
@@ -119,6 +121,31 @@ def homology_at(page, d, s):
     if any(y is None for y in rows):
         raise NotAComplex("image vector falls outside the kernel lattice")
     return FPAbelianGroup.from_presentation(len(kbasis), rows)
+
+
+def _free_incoming(page, d):
+    """The columns mod 2 of d3_matrix(d + 1, 0) that can be nonzero, as
+    bitsets over basis(d, 3), without building the matrix.
+
+    Only the free monomials g m can have a nonzero column: g a generator
+    with a d3 rule and m a survivor monomial of degree d + 1 - deg g (g m
+    skipped where it squares a capped g).  Every other free monomial
+    keeps a torsion killer in each Leibniz term, and since each d3
+    target is h1^3 times uncapped survivors (BigradedPage checks it),
+    no rewrite removes that killer and normalize drops the term.
+    """
+    degree, capped = page._degree, page.spec.rewrite_rules
+    sources = {}
+    for g in page.free_names:
+        if g in page.spec.d3:
+            for m in page._enumerate(page.survivor_names, d + 1 - degree[g]):
+                exps = dict(m)
+                if not (g in capped and g in exps):
+                    exps[g] = exps.get(g, 0) + 1
+                    sources[page.key(exps)] = None
+    index = {m: i for i, m in enumerate(page.basis(d, 3))}
+    return [sum(1 << index[k] for k, c in page.d3_monomial(key).items() if c & 1)
+            for key in sources]
 
 
 # -- page description ---------------------------------------------------
@@ -159,6 +186,14 @@ class BigradedPage:
         self.survivor_names = tuple(n for n in self.free_names
                                     if n not in spec.torsion_killers)
         self._degree = {g.name: g.degree for g in spec.generators}
+        for name, rule in spec.d3.items():
+            for _, exps in rule:
+                if exps.get("h1") != 3 or any(
+                        n != "h1" and (n not in self.survivor_names
+                                       or n in spec.rewrite_rules)
+                        for n in exps):
+                    raise ValueError("d3 %s has a term %r, not h1^3 times "
+                                     "uncapped survivors" % (name, exps))
         self._order = {g.name: i for i, g in enumerate(spec.generators)}
         self._basis_cache = {}
         self._matrix_cache = {}

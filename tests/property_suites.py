@@ -123,39 +123,47 @@ def packed_product_matches_dict(cases=1000, seed=20260824):
                         rng.randrange(-mag, mag + 1)) for _ in range(size)]
             operands.append(make_series(entries, t, parity=p))
         _assert_same_product(*operands)
+        for f in operands:
+            assert f * f == dict_product(f, f)  # the square path
         done += 1
     return done
 
 
 def packed_width_edges(max_bits=40):
-    """Full layers of (2^k - 1) times full layers of +-(2^k - 1).
+    """Products whose middle coefficient is exactly +-bound, the digit
+    bound that sets the packed width: bound = max over output layers n
+    of sum_i |A_i|_1 max|B_(n-i)|, |A_i|_1 the sum of |a| over layer i.
 
-    The middle coefficient of the last layer is then exactly +-bound,
-    where bound = max|a| max|b| trunc (layer length) is what sets the
-    packed digit width; as k grows its bit length crosses every byte
-    edge.  Returns the number of products checked.
+    Two families with m = 2^k - 1: full layers of m times full layers of
+    +-m at every order, where the bound m^2 (layer length) trunc is met
+    in the last layer, and a full layer of m at q^(trunc-1) times a full
+    layer of +-m at q^0, where it is m^2 (layer length).  As k grows
+    the bound's bit length crosses every byte edge.  Returns the number
+    of products checked.
     """
     done = 0
-    edges = set()
+    edges = (set(), set())
     for k in range(1, max_bits + 1):
         m = (1 << k) - 1
         for length, trunc in ((1, 1), (2, 3), (5, 4), (8, 8)):
-            bound = m * m * length * trunc
-            edges.add(bound.bit_length() % 8)
-            for pa, pb in ((0, 0), (1, 1), (0, 1)):
-                a = make_series([(n, 2 * d + pa, m) for n in range(trunc)
-                                 for d in range(length)], trunc, parity=pa)
-                for sign in (1, -1):
-                    b = make_series([(n, 2 * d - pb, sign * m)
-                                     for n in range(trunc)
-                                     for d in range(length)],
-                                    trunc, parity=pb)
-                    top = a * b
-                    assert top.coefficient(trunc - 1, 2 * length - 2 + pa - pb) \
-                        == sign * bound
-                    _assert_same_product(a, b)
-                    done += 1
-    assert edges == set(range(8))
+            for family, a_orders, b_orders, bound in (
+                    (0, range(trunc), range(trunc), m * m * length * trunc),
+                    (1, (trunc - 1,), (0,), m * m * length)):
+                edges[family].add(bound.bit_length() % 8)
+                for pa, pb in ((0, 0), (1, 1), (0, 1)):
+                    a = make_series([(n, 2 * d + pa, m) for n in a_orders
+                                     for d in range(length)], trunc, parity=pa)
+                    for sign in (1, -1):
+                        b = make_series([(n, 2 * d - pb, sign * m)
+                                         for n in b_orders
+                                         for d in range(length)],
+                                        trunc, parity=pb)
+                        top = a * b
+                        assert top.coefficient(
+                            trunc - 1, 2 * length - 2 + pa - pb) == sign * bound
+                        _assert_same_product(a, b)
+                        done += 1
+    assert edges == (set(range(8)), set(range(8)))
     # a top digit 1 over a negative digit packs to fewer bits than its
     # position: y - 1 packs to 2^w - 1
     for c in (1, -1):

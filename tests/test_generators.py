@@ -159,6 +159,27 @@ def test_identities_at_the_default_guard():
         assert reduce(mul, factors) == reduce(dict_product, factors)
 
 
+# the identities each generator enters, as mf_embedding_report and
+# verify_relation group them
+IDENTITIES_OF = {"b2": {"relation", "c4", "c6", "delta"},
+                 "b3": {"relation", "c6", "delta"},
+                 "b4": {"relation", "c4", "c6", "delta"},
+                 "b8": {"relation", "delta"}}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITIES_OF))
+@pytest.mark.parametrize("n", [0, T - 1])
+def test_a_perturbed_generator_fails_its_identities(monkeypatch, name, n):
+    # one q-term of one generator off by one in a fresh table: every
+    # identity that contains it must fail, the others still hold
+    t = generators.GeneratorTable(T)
+    f = t.series_of(name)
+    t.__dict__[name] = f + QYSeries.monomial(1, n, f.parity, T)
+    monkeypatch.setattr(generators, "generator_table", lambda N: t)
+    report = dict(mf_embedding_report(T), relation=verify_relation(T))
+    assert {k for k, ok in report.items() if not ok} == IDENTITIES_OF[name]
+
+
 def test_generator_functions_match_table(tab):
     assert gen_a(T) == tab.a
     assert gen_b2(T) == tab.b2
@@ -194,6 +215,8 @@ def test_squares_are_built_once(tab):
         s = tab.series_of(name)
         assert tab.square(name) is tab.square(name)
         assert tab.square(name) == dict_product(s, s)
+    assert tab.b2_b3_square is tab.b2_b3_square
+    assert tab.b2_b3_square == dict_product(tab.b2, dict_product(tab.b3, tab.b3))
 
 
 def test_truncation_respected():
@@ -246,7 +269,8 @@ def test_lacunary_sums_match_product_formulas(N):
         _oracle_xi_square(M, odd, -1, 4),
         _oracle_xi_square(M, even, 1, make_series([(0, 2, 1), (0, 0, 2),
                                                    (0, -2, 1)], M)))
-    assert generators._xi_square_parts(N) == parts
+    E, O, C_part = generators._xi_square_parts(N)
+    assert (E + O, E - O, C_part) == parts
 
     t = generator_table(N)
     assert t.a == exact_divide(blocks[1], eta3)

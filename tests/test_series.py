@@ -198,7 +198,7 @@ def test_packed_product_matches_dict_product():
 
 
 def test_packed_product_at_the_digit_width_edge():
-    assert packed_width_edges() >= 960
+    assert packed_width_edges() >= 1920
 
 
 def test_packed_quotient_matches_dict_quotient():

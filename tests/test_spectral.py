@@ -249,6 +249,56 @@ def test_torsion_homology_is_the_f2_count(page_of, max_degree):
             assert homology_at(page, n, s) == FPAbelianGroup(0, (2,) * dim), (n, s)
 
 
+def _with_d3_on_b4(page_of):
+    # the altered page of test_not_a_complex
+    def build(max_degree):
+        spec = page_of(max_degree).spec
+        return BigradedPage(spec._replace(
+            d3=dict(spec.d3, b4=((1, {"h1": 3, "b2": 1}),))))
+    return build
+
+
+def _without_even_killers(page_of, even_killer):
+    # the altered pages of test_deviations_are_what_the_tables_need
+    def build(max_degree):
+        spec = page_of(max_degree).spec
+        return BigradedPage(spec._replace(torsion_killers=frozenset(
+            n for n in spec.torsion_killers if not even_killer(n))))
+    return build
+
+
+def _b4_survives(max_degree):
+    return _without_even_killers(tjf_page, lambda n: n == "b4")(max_degree)
+
+
+@pytest.mark.parametrize("page_of, max_degree", [
+    (tjf_page, 64), (msu_page, 64), (_with_d3_on_b4(tjf_page), 32),
+    (_b4_survives, 32),
+    (_without_even_killers(msu_page, lambda n: int(n[1:]) % 2 == 0), 32),
+    (_with_d3_on_b4(_b4_survives), 32),
+], ids=["tjf", "msu", "tjf, d3 b4", "tjf, b4 survives", "msu, B2n survive",
+        "tjf, d3 b4 and b4 survives"])
+def test_free_incoming_matches_the_dense_matrix(page_of, max_degree):
+    # the s = 3 relations from the monomials g m against every column of
+    # the dense free-sector matrix mod 2, the path they replaced
+    page = page_of(max_degree)
+    for d in range(max_degree + 1):
+        dense = spectral._mod2_columns(page.d3_matrix(d + 1, 0),
+                                       len(page.basis(d + 1, 0)))
+        assert set(spectral._free_incoming(page, d)) - {0} == set(dense) - {0}, d
+
+
+@pytest.mark.parametrize("target", [{"h1": 2}, {"h1": 3, "b4": 1},
+                                    {"h1": 3, "b3": 1}, {"h1": 3, "c": 1}])
+def test_d3_targets_must_be_h1_cubed_times_uncapped_survivors(target):
+    # h1^2 leaves the page's two shapes, b4 is capped, b3 kills h1 and c
+    # is not a generator: the monomials g m could miss columns, so such a
+    # page is refused
+    spec = tjf_page(16).spec
+    with pytest.raises(ValueError, match="not h1\\^3 times uncapped survivors"):
+        BigradedPage(spec._replace(d3={"b2": ((1, target),)}))
+
+
 def _partition_count(k):
     # p(k), counting partitions part size by part size
     ways = [1] + [0] * k
