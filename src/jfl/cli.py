@@ -1,12 +1,12 @@
 """Command-line surface: every computation as a scriptable command.
 
-Each subcommand builds a CommandResult with a status (ok, mismatch,
-error), a JSON-ready payload, and the list of adopted-assumption
-strings relevant to it.  Text output is deterministic; JSON output is
-the serialized CommandResult and survives a parse/re-dump round trip
-byte for byte.  Exit code 0 means ok, 1 mismatch, 2 error, also for
-an unexpected exception and for output that cannot be written.  Each
-command imports only the modules it runs.
+Each subcommand returns a result dict and its text.  The dict holds a
+status (ok, mismatch, error), a JSON-ready payload, and the list of
+adopted-assumption strings relevant to it.  Text output is
+deterministic; JSON output is the serialized dict and survives a
+parse/re-dump round trip byte for byte.  Exit code 0 means ok, 1
+mismatch, 2 error, also for an unexpected exception and for output that
+cannot be written.  Each command imports only the modules it runs.
 """
 
 import argparse
@@ -16,27 +16,6 @@ import sys
 import traceback
 
 from .series import check_guard, render_json_dict, render_text
-
-
-class CommandResult:
-    __hash__ = None
-
-    def __init__(self, status, payload, deviations=None):
-        self.status, self.payload = status, payload
-        self.deviations = [] if deviations is None else deviations
-
-    def __eq__(self, other):
-        same = other.__class__ is self.__class__
-        return vars(self) == vars(other) if same else NotImplemented
-
-    def __repr__(self):
-        return "CommandResult(status=%r, payload=%r, deviations=%r)" % (
-            self.status, self.payload, self.deviations)
-
-    def to_json(self):
-        return {"status": self.status,
-                "payload": self.payload,
-                "deviations": list(self.deviations)}
 
 
 # -- subcommand implementations -----------------------------------------
@@ -55,7 +34,7 @@ def cmd_expand(args):
     text = render_text(s)
     payload = {"generator": args.gen, "qmax": qmax,
                "series": render_json_dict(s), "text": text}
-    return CommandResult("ok", payload), text
+    return {"status": "ok", "payload": payload, "deviations": []}, text
 
 
 def cmd_verify(args):
@@ -70,7 +49,8 @@ def cmd_verify(args):
     lines = ["%s: %s" % (k, "ok" if v else "mismatch")
              for k, v in checks.items()]
     payload = {"which": args.which, "qmax": qmax, "checks": checks}
-    return CommandResult("ok" if ok else "mismatch", payload), "\n".join(lines)
+    return ({"status": "ok" if ok else "mismatch", "payload": payload,
+             "deviations": []}, "\n".join(lines))
 
 
 def _parse_chern(text):
@@ -91,7 +71,8 @@ def cmd_genus(args):
         element = genus.elliptic_genus(data)
     except genus.NonIntegralGenus as exc:
         payload = {"error": str(exc), "value": str(exc.value)}
-        return CommandResult("error", payload), "error: %s" % exc
+        return ({"status": "error", "payload": payload, "deviations": []},
+                "error: %s" % exc)
     chi = genus.euler_characteristic(data)
     text = ring.render_element_text(element)
     payload = {"dim": args.dim,
@@ -99,7 +80,8 @@ def cmd_genus(args):
                "element": ring.render_element_json(element),
                "text": text,
                "chi": chi}
-    return CommandResult("ok", payload), "%s\nchi = %d" % (text, chi)
+    return ({"status": "ok", "payload": payload, "deviations": []},
+            "%s\nchi = %d" % (text, chi))
 
 
 def _group_str(group):
@@ -119,9 +101,8 @@ def cmd_homotopy(args):
                                            "ok" if row["match"] else "MISMATCH")
         lines.append(line)
     payload = {"target": args.target, "max_degree": max_degree, "rows": rows}
-    return (CommandResult("ok" if ok else "mismatch", payload,
-                          list(spectral.DEVIATIONS)),
-            "\n".join(lines))
+    return ({"status": "ok" if ok else "mismatch", "payload": payload,
+             "deviations": list(spectral.DEVIATIONS)}, "\n".join(lines))
 
 
 def cmd_surjectivity(args):
@@ -136,7 +117,8 @@ def cmd_surjectivity(args):
         text = ("mismatch at degree %d filtration %d: %s"
                 % (f["degree"], f["filtration"], f["reason"]))
     deviations = report.pop("deviations_adopted")
-    return CommandResult(report["status"], report, deviations), text
+    return ({"status": report["status"], "payload": report,
+             "deviations": deviations}, text)
 
 
 def cmd_image(args):
@@ -159,7 +141,8 @@ def cmd_image(args):
         lines.append("representatives: " + ", ".join(reps))
     lines.append("expected torsion rank %d: %s"
                  % (expected_rank, "ok" if match else "MISMATCH"))
-    return CommandResult("ok" if match else "mismatch", payload), "\n".join(lines)
+    return ({"status": "ok" if match else "mismatch", "payload": payload,
+             "deviations": []}, "\n".join(lines))
 
 
 # -- the umbrella suite ---------------------------------------------------
@@ -282,8 +265,8 @@ def cmd_verify_all(args):
              + (" (%s)" % c["error"] if "error" in c else "") for c in checks]
     lines.append("overall: %s" % ("ok" if ok else "mismatch"))
     payload = {"checks": checks, "overall": "ok" if ok else "mismatch"}
-    return (CommandResult("ok" if ok else "mismatch", payload, list(DEVIATIONS)),
-            "\n".join(lines))
+    return ({"status": "ok" if ok else "mismatch", "payload": payload,
+             "deviations": list(DEVIATIONS)}, "\n".join(lines))
 
 
 # -- argument parsing and dispatch ----------------------------------------
@@ -336,16 +319,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         result, text = args.fn(args)
-    except ValueError as exc:
-        result = CommandResult("error", {"error": str(exc)})
-        text = "error: %s" % exc
     except Exception as exc:  # a bug is still an error, not a mismatch
-        traceback.print_exc()
-        message = "%s: %s" % (type(exc).__name__, exc)
-        result = CommandResult("error", {"error": message})
+        message = str(exc)
+        if not isinstance(exc, ValueError):
+            traceback.print_exc()
+            message = "%s: %s" % (type(exc).__name__, message)
+        result = {"status": "error", "payload": {"error": message},
+                  "deviations": []}
         text = "error: %s" % message
     if args.format == "json":
-        text = json.dumps(result.to_json(), indent=2)
+        text = json.dumps(result, indent=2)
     try:
         print(text)
         sys.stdout.flush()
@@ -353,7 +336,7 @@ def main(argv=None):
         # point stdout at devnull, so that the flush at exit cannot fail too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    return {"ok": 0, "mismatch": 1}.get(result.status, 2)
+    return {"ok": 0, "mismatch": 1}.get(result["status"], 2)
 
 
 if __name__ == "__main__":

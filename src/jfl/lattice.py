@@ -167,10 +167,6 @@ def snf_diagonal(mat):
     return [d[i][i] for i in range(k)]
 
 
-def rank(mat):
-    return sum(1 for x in snf_diagonal(mat) if x)
-
-
 def kernel_basis(mat, ncols=None):
     """Basis of {x : mat @ x == 0}, returned as a list of vectors."""
     m = len(mat)
@@ -372,10 +368,6 @@ class FPAbelianGroup:
         diag = [d for d in snf_diagonal(rows) if d]
         torsion = tuple(d for d in diag if d > 1)
         return cls(ngens - len(diag), torsion)
-
-    @property
-    def is_trivial(self):
-        return self.rank == 0 and not self.torsion
 
     def __eq__(self, other):
         if not isinstance(other, FPAbelianGroup):

@@ -56,10 +56,6 @@ class JFElement:
     def degrees(self):
         return sorted({monomial_degree(m) for m in self.coeffs})
 
-    @property
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
     def degree(self):
         ds = self.degrees()
         if not ds:
@@ -67,10 +63,6 @@ class JFElement:
         if len(ds) > 1:
             raise Inhomogeneous("element mixes degrees %s" % (ds,))
         return ds[0]
-
-    def graded_component(self, d):
-        return JFElement({m: c for m, c in self.coeffs.items()
-                          if monomial_degree(m) == d})
 
     def __eq__(self, other):
         if not isinstance(other, JFElement):

@@ -121,17 +121,14 @@ class QYSeries:
             return NotImplemented
         parity = _joint_parity(self, other)
         trunc = min(self.truncation, other.truncation)
-        out = {}
-        for src in (self._terms, other._terms):
-            for (n, r2), c in src.items():
-                if n >= trunc:
-                    continue
-                key = (n, r2)
+        out = {k: c for k, c in self._terms.items() if k[0] < trunc}
+        for key, c in other._terms.items():
+            if key[0] < trunc:
                 v = out.get(key, 0) + c
                 if v:
                     out[key] = v
-                else:
-                    out.pop(key, None)
+                else:  # c is nonzero, so key was in out
+                    del out[key]
         return QYSeries(out, trunc, parity)
 
     def __sub__(self, other):

@@ -28,10 +28,11 @@ has one monomial order: a key lists its factors in generator order, h1
 first, and the enumeration yields each basis with exponents descending
 generator by generator, so no basis is sorted.  The ring names
 b2, b3, b4, b8 are in tjf generator order.
-The surjectivity check applies phi_N to page monomials, in tjf
-coordinates: free sectors need a unimodular determinant, torsion sectors
-are checked over F2 once per d - s, and d3 commutation is a mod-2
-matrix identity.
+The surjectivity check applies phi_N to the msu page restricted to h1,
+B2, B3, B4 and C8 (msu_sub_page), in the coordinates of the tjf page,
+which is built on its own: free sectors need a unimodular determinant,
+torsion sectors are checked over F2 once per d - s, and d3 commutation
+is a mod-2 matrix identity.
 
 Three conventions here go beyond the literally printed relation lists
 of the source presentations; every report carries them:
@@ -401,19 +402,39 @@ def _page(label, max_degree, b_family, c_family, rewrites):
     return BigradedPage(spec)
 
 
-def _five_generator_page(label, max_degree, b2, b3, b4, c8):
-    return _page(label, max_degree, ((b2, 4), (b3, 6), (b4, 8)), ((c8, 16),),
-                 ((b4, _square_rule(b2, b3, c8)),))
-
-
 def tjf_page(max_degree):
-    return _five_generator_page("tjf", max_degree, "b2", "b3", "b4", "b8")
+    return _page("tjf", max_degree, (("b2", 4), ("b3", 6), ("b4", 8)),
+                 (("b8", 16),), (("b4", _square_rule("b2", "b3", "b8")),))
+
+
+_SUB_PAGE = frozenset(("h1", "B2", "B3", "B4", "C8"))
 
 
 def msu_sub_page(max_degree):
-    """The five-generator sub-page driving the surjectivity check; the
-    tjf page renamed b2, b3, b4, b8 -> B2, B3, B4, C8."""
-    return _five_generator_page("msu-sub", max_degree, "B2", "B3", "B4", "C8")
+    """The domain of the surjectivity check: msu_page(max_degree)
+    restricted to h1, B2, B3, B4 and C8, with their rewrite rules,
+    torsion killers and d3.  Below degree 16 the msu page has no C8 and
+    B4's rule is None, but neither acts there.  A kept rule or d3 term
+    that names a dropped generator raises ValueError, so the inclusion
+    is a map of pages."""
+    spec = msu_page(max_degree).spec
+    generators = tuple(g for g in spec.generators if g.name in _SUB_PAGE)
+    keep = {g.name for g in generators}
+
+    def restricted(rules):
+        out = {name: rule for name, rule in rules.items() if name in keep}
+        for name, rule in out.items():
+            dropped = {n for _, exps in rule or () for n in exps} - keep
+            if dropped:
+                raise ValueError("%s names %s, which the sub-page drops"
+                                 % (name, min(dropped)))
+        return out
+
+    return BigradedPage(spec._replace(
+        label="msu-sub", generators=generators,
+        rewrite_rules=restricted(spec.rewrite_rules),
+        torsion_killers=spec.torsion_killers & keep,
+        d3=restricted(spec.d3)))
 
 
 def msu_page(max_degree):
@@ -664,7 +685,8 @@ def _f2_rank(vectors):
 
 
 def surjectivity_check(n_param, max_degree):
-    """Verify the five-generator sub-page maps isomorphically per bidegree.
+    """Verify phi_N maps msu_sub_page, the msu page restricted to h1, B2,
+    B3, B4 and C8, isomorphically per bidegree onto the tjf page.
 
     In target-page coordinates, phi_N must respect the sub-page's rewrite
     rule, free sectors need a unimodular matrix, torsion sectors one of

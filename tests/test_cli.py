@@ -178,6 +178,14 @@ def test_degree_guard_and_override(run, monkeypatch):
     assert code == 0
 
 
+def test_surjectivity_below_a_low_guard(run, monkeypatch):
+    # the sub-page restricts msu_page(8), which has no C8: no guard of 16
+    monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "8")
+    code, out = run(["surjectivity", "--n-param", "1", "--max-degree", "8"])
+    assert (code, out) == (
+        0, "ok: 16 bidegrees match at parameter 1 through degree 8\n")
+
+
 def test_guard_error_names_a_valid_override(run, monkeypatch):
     monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "128")
     code, out = run(["homotopy", "--target", "msu", "--max-degree", "200"])

@@ -100,6 +100,17 @@ def test_equality_needs_matching_truncation():
     assert f != make_series([(0, 0, 2)], truncation=4)
 
 
+def test_sum_truncates_to_the_smaller_precision():
+    f = make_series([(0, 0, 1), (1, 2, 3), (2, 0, 5)], truncation=3)
+    g = make_series([(0, 0, -1), (1, 2, 4), (3, 0, 7)], truncation=4)
+    # q^0 cancels and is not stored; g's q^3 term is beyond f's precision
+    for total in (f + g, g + f):
+        assert total.truncation == 3
+        assert total.terms() == [(1, 2, 7), (2, 0, 5)]
+    for x in (f, g):
+        assert (x + (-x)).is_zero() and x - x == QYSeries.zero(x.truncation)
+
+
 def test_multiplication_parity_and_truncation():
     odd = make_series([(0, 1, 1), (1, -1, 2)], truncation=3)
     sq = odd * odd

@@ -1,7 +1,6 @@
 import pytest
 
 from jfl import ring, spectral
-from jfl.genus import partitions_without_ones
 from jfl.lattice import FPAbelianGroup, invariant_factors
 from jfl.spectral import (DEVIATIONS, BigradedPage, NotAComplex,
                           UnsupportedDegree, check_msu_table,
@@ -26,8 +25,8 @@ class TestHomologyAt:
 
     def test_isomorphism_leaves_nothing(self, page):
         # h1 b2 -> h1^4 is Z/2 -> Z/2 onto: both ends vanish
-        assert homology_at(page, 5, 1).is_trivial
-        assert homology_at(page, 4, 4).is_trivial
+        assert homology_at(page, 5, 1) == FPAbelianGroup(0)
+        assert homology_at(page, 4, 4) == FPAbelianGroup(0)
 
     def test_kernel_of_projection_to_torsion(self, page):
         # b2^3 -> h1^3 b2^2 mod 2, b2 b4 and b3^2 -> 0: the kernel has
@@ -41,8 +40,8 @@ class TestHomologyAt:
         assert homology_at(page, 2, 2) == FPAbelianGroup(0, (2,))
 
     def test_empty_middle(self, page):
-        assert homology_at(page, 3, 1).is_trivial
-        assert homology_at(page, 7, 0).is_trivial
+        assert homology_at(page, 3, 1) == FPAbelianGroup(0)
+        assert homology_at(page, 7, 0) == FPAbelianGroup(0)
 
     def test_not_a_complex(self):
         # d3 b4 = h1^3 b2 makes d3 d3 b4 = h1^6, nonzero mod 2
@@ -113,16 +112,19 @@ class TestTjfPage:
 
 
 def test_sub_page_is_tjf_page_renamed():
+    # also below 16, where the msu page has no C8 and B4's rule is None
     rename = {"h1": "h1", "B2": "b2", "B3": "b3", "B4": "b4", "C8": "b8"}
-    sub, tjf = msu_sub_page(32), tjf_page(32)
 
     def renamed(mons):
         return tuple(tuple((rename[n], e) for n, e in m) for m in mons)
 
-    for d in range(33):
-        for s in range(d + 1):
-            assert renamed(sub.basis(d, s)) == tjf.basis(d, s), (d, s)
-            assert sub.d3_matrix(d, s) == tjf.d3_matrix(d, s), (d, s)
+    for max_degree in (0, 5, 15, 16, 24, 32, 40):
+        sub, tjf = msu_sub_page(max_degree), tjf_page(max_degree)
+        assert sub.spec.label == "msu-sub"
+        for d in range(max_degree + 1):
+            for s in range(d + 1):
+                assert renamed(sub.basis(d, s)) == tjf.basis(d, s), (d, s)
+                assert sub.d3_matrix(d, s) == tjf.d3_matrix(d, s), (d, s)
 
 
 def test_homotopy_groups_pinned_list():
@@ -300,7 +302,9 @@ def test_d3_targets_must_be_h1_cubed_times_uncapped_survivors(target):
 
 
 def _partition_count(k):
-    # p(k), counting partitions part size by part size
+    # p(k), counting partitions part size by part size; p(k) = 0 for k < 0
+    if k < 0:
+        return 0
     ways = [1] + [0] * k
     for part in range(1, k + 1):
         for n in range(part, k + 1):
@@ -337,10 +341,12 @@ class TestMsuPage:
         assert all(set(r["torsion"]) <= {2} for r in rows)
         got = [[r["n"], r["rank"], len(r["torsion"])] for r in rows]
         # the classical closed form (Conner-Floyd 1966; Stong 1968, ch. X):
-        # rank = #partitions of m without ones in degree 2m, and (Z/2)^p(k)
-        # in degrees 8k + 1 and 8k + 2, no torsion elsewhere
+        # rank = #partitions of m without ones, p(m) - p(m - 1), in degree
+        # 2m, and (Z/2)^p(k) in degrees 8k + 1 and 8k + 2, no torsion
+        # elsewhere
         assert got == [
-            [n, 0 if n % 2 else len(partitions_without_ones(n // 2)),
+            [n, 0 if n % 2 else
+             _partition_count(n // 2) - _partition_count(n // 2 - 1),
              _partition_count(n // 8) if n % 8 in (1, 2) else 0]
             for n in range(len(rows))]
         assert sum(g[1] for g in got) == 8349
@@ -452,6 +458,7 @@ def _oracle_surjectivity_check(n_param, max_degree):
 
 _right_images = spectral._substitution_images
 _right_sub_page = spectral.msu_sub_page
+_right_msu_page = spectral.msu_page
 _right_page_map = spectral._page_map
 
 
@@ -523,7 +530,55 @@ BROKEN = {
 }
 
 
+def _msu_page_with(change):
+    def page(max_degree):
+        spec = _right_msu_page(max_degree).spec
+        return spectral.BigradedPage(spec._replace(**change(spec)))
+    return page
+
+
+def _flip_the_c8_term(spec):
+    rule = tuple((-c if "C8" in m else c, m)
+                 for c, m in spec.rewrite_rules["B4"])
+    return {"rewrite_rules": dict(spec.rewrite_rules, B4=rule)}
+
+
+# a change to msu_page and the first failure it causes at (1, 32)
+CHANGED_MSU = {
+    "B4 not a torsion killer": (
+        lambda spec: {"torsion_killers": spec.torsion_killers - {"B4"}},
+        {"degree": 9, "filtration": 1, "reason": "basis sizes 2 vs 1"}),
+    "B4 rule sign flipped": (
+        _flip_the_c8_term,
+        {"degree": 16, "filtration": 0,
+         "reason": "substitution breaks the rewrite rule of B4"}),
+    "B3 survives h1": (
+        lambda spec: {"torsion_killers": spec.torsion_killers - {"B3"}},
+        {"degree": 7, "filtration": 1, "reason": "basis sizes 1 vs 0"}),
+}
+
+
+def test_sub_page_refuses_a_rule_naming_a_dropped_generator(monkeypatch):
+    def b4_names_b5(spec):
+        rule = spec.rewrite_rules["B4"] + ((1, {"B3": 1, "B5": 1}),)
+        return {"rewrite_rules": dict(spec.rewrite_rules, B4=rule)}
+
+    monkeypatch.setattr(spectral, "msu_page", _msu_page_with(b4_names_b5))
+    with pytest.raises(ValueError, match="B4 names B5"):
+        msu_sub_page(32)
+
+
 class TestSurjectivity:
+    @pytest.mark.parametrize("case", sorted(CHANGED_MSU))
+    def test_a_changed_msu_page_reaches_the_check(self, monkeypatch, case):
+        # the sub-page is msu_page restricted, so the check sees the change
+        change, failure = CHANGED_MSU[case]
+        monkeypatch.setattr(spectral, "msu_page", _msu_page_with(change))
+        report = surjectivity_check(1, 32)
+        assert report["status"] == "mismatch"
+        assert report["first_failure"] == failure
+        assert report == _oracle_surjectivity_check(1, 32)
+
     def test_holds_for_small_parameters(self):
         for n in (-1, 0, 1, 2):
             report = surjectivity_check(n, 16)
