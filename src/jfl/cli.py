@@ -60,7 +60,10 @@ def _parse_chern(text):
             key, _, raw = item.partition("=")
             if not _:
                 raise ValueError("expected key=value in --chern, got %r" % item)
-            values[key.strip()] = int(raw)
+            key = key.strip()
+            if key in values:
+                raise ValueError("--chern gives %s twice" % key)
+            values[key] = int(raw)
     return values
 
 

@@ -9,6 +9,9 @@ rule (degree -1, filtration +3) extended by the signed Leibniz formula.
 Realized bases per (degree, filtration) split into a free sector
 (filtration 0, monomials in the free generators) and 2-torsion sectors
 (filtration s >= 1, h1^s times monomials in the h1-survivors).
+d3 lands in filtration s + 3 >= 3, where every group is Z/2, so a page
+keeps it as a map over F2: one int bitset column per source monomial
+(BigradedPage.d3_matrix).
 Homology is computed by exact integer linear algebra via
 homology_at(page, d, s), in the page's two shapes: Z^n at filtration 0
 and (Z/2)^n above it.
@@ -16,12 +19,12 @@ and (Z/2)^n above it.
            kernel of Z^n -> (Z/2)^rows has finite index and the
            homology is Z^n; the kernel lattice is not built
   s >= 1   the kernel of d3 mod 2 as a lattice over 2Z^n, modulo 2Z^n
-           and the incoming columns mod 2, zero and repeated ones
-           dropped; one Smith form per bidegree rewrites all relations
-           in kernel coordinates
+           and the incoming columns, zero and repeated ones dropped;
+           one Smith form per bidegree rewrites all relations in kernel
+           coordinates
 homotopy_groups computes H(n, s) once per n - s and sector kind (free,
 nothing coming in, fed by the free sector, fed by torsion), which fixes
-the basis, d3 mod 2 and the incoming columns of every s >= 1.
+the basis, the d3 columns and the incoming columns of every s >= 1.
 Bases come from one enumeration per page, memoized on (generator
 position, degree left) and built as immutable monomial keys.  A page
 has one monomial order: a key lists its factors in generator order, h1
@@ -32,7 +35,7 @@ The surjectivity check applies phi_N to the msu page restricted to h1,
 B2, B3, B4 and C8 (msu_sub_page), in the coordinates of the tjf page,
 which is built on its own: free sectors need a unimodular determinant,
 torsion sectors are checked over F2 once per d - s, and d3 commutation
-is a mod-2 matrix identity.
+is an identity of F2 bitset columns.
 
 Three conventions here go beyond the literally printed relation lists
 of the source presentations; every report carries them:
@@ -50,7 +53,7 @@ from .lattice import (FPAbelianGroup, determinant, group_to_json,
                       hermite_normal_form, invariant_factors, kernel_basis,
                       solve_column_combination, transpose)
 from .series import (DEFAULT_MAX_DEGREE_GUARD, UnsupportedDegree,
-                     _guard_setting, check_guard, max_degree_guard)
+                     check_guard, max_degree_guard)
 from . import ring
 
 __all__ = [
@@ -74,17 +77,18 @@ class NotAComplex(ValueError):
 
 # -- homology in the page's two shapes ----------------------------------
 
-def preimage_lattice(d_out, mid_dim):
-    """HNF basis of {x in Z^mid_dim : d_out @ x = 0 mod 2}, the kernel of
-    a map into (Z/2)^rows: the kernel of [d_out | 2I], cut to x."""
-    if not d_out:
-        return [[1 if i == j else 0 for j in range(mid_dim)]
-                for i in range(mid_dim)]
-    rows = len(d_out)
-    aug = [list(row) + [2 if i == j else 0 for j in range(rows)]
-           for i, row in enumerate(d_out)]
-    ker = kernel_basis(aug, ncols=mid_dim + rows)
-    return hermite_normal_form([v[:mid_dim] for v in ker], mid_dim)
+def preimage_lattice(d_out):
+    """HNF basis of {x in Z^n : D x = 0 mod 2}, D over F2 given as its n
+    bitset columns: the kernel of [D | 2I], cut to x.  Rows from the
+    highest set bit on are zero and constrain nothing, so they are left
+    out; the canonical HNF is the same."""
+    n, rows = len(d_out), max(d_out, default=0).bit_length()
+    if not rows:
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    aug = [[(c >> i) & 1 for c in d_out]
+           + [2 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    ker = kernel_basis(aug, ncols=n + rows)
+    return hermite_normal_form([v[:n] for v in ker], n)
 
 
 def homology_at(page, d, s):
@@ -97,11 +101,12 @@ def homology_at(page, d, s):
               kernel of Z^n -> (Z/2)^rows has finite index: Z^n, and
               the kernel lattice is not built
       s >= 1  H is K / (2Z^n + incoming), with K = {x : d3 x = 0 mod 2};
-              the incoming columns count only mod 2, since 2Z^n is
-              already a relation, so zero and repeated ones are dropped,
-              and all relations are solved in K coordinates by one
-              Smith form; at s = 3 they come from the free monomials
-              that can reach h1^3 (`_free_incoming`), not a dense matrix
+              d3 lands in Z/2 groups and comes as F2 bitset columns,
+              incoming ones too, since 2Z^n is already a relation; zero
+              and repeated incoming columns are dropped, and all
+              relations are solved in K coordinates by one Smith form;
+              at s = 3 they come from the free monomials that can reach
+              h1^3 (`_free_incoming`), not from every free column
     """
     m = len(page.basis(d, s))
     if s == 0 or m == 0:
@@ -109,15 +114,14 @@ def homology_at(page, d, s):
     d_out = page.d3_matrix(d, s)
     relations = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
     if s >= 3:
-        incoming = dict.fromkeys(_free_incoming(page, d) if s == 3 else
-                                 _mod2_columns(page.d3_matrix(d + 1, s - 3),
-                                               len(page.basis(d + 1, s - 3))))
+        incoming = dict.fromkeys(_free_incoming(page, d) if s == 3
+                                 else page.d3_matrix(d + 1, s - 3))
         incoming.pop(0, None)
-        if any(_mod2_product(_mod2_columns(d_out, m), incoming)):
+        if any(_mod2_product(d_out, incoming)):
             raise NotAComplex("d3 o d3 is nonzero from (%d, %d)"
                               % (d + 1, s - 3))
         relations += [[(col >> i) & 1 for i in range(m)] for col in incoming]
-    kbasis = preimage_lattice(d_out, m)
+    kbasis = preimage_lattice(d_out)
     rows = solve_column_combination(transpose(kbasis), relations)
     if any(y is None for y in rows):
         raise NotAComplex("image vector falls outside the kernel lattice")
@@ -125,8 +129,8 @@ def homology_at(page, d, s):
 
 
 def _free_incoming(page, d):
-    """The columns mod 2 of d3_matrix(d + 1, 0) that can be nonzero, as
-    bitsets over basis(d, 3), without building the matrix.
+    """The columns of d3_matrix(d + 1, 0) that can be nonzero, F2
+    bitsets over basis(d, 3), without building every column.
 
     Only the free monomials g m can have a nonzero column: g a generator
     with a d3 rule and m a survivor monomial of degree d + 1 - deg g (g m
@@ -145,8 +149,7 @@ def _free_incoming(page, d):
                     exps[g] = exps.get(g, 0) + 1
                     sources[page.key(exps)] = None
     index = {m: i for i, m in enumerate(page.basis(d, 3))}
-    return [sum(1 << index[k] for k, c in page.d3_monomial(key).items() if c & 1)
-            for key in sources]
+    return [sum(1 << index[k] for k in page.d3_monomial(key)) for key in sources]
 
 
 # -- page description ---------------------------------------------------
@@ -342,32 +345,21 @@ class BigradedPage:
             prefix_degree += w * e
         return self.normalize(out)
 
-    def d3_element(self, x):
-        acc = {}
-        for key, c in x.items():
-            for k2, c2 in self.d3_monomial(key).items():
-                acc[k2] = acc.get(k2, 0) + c * c2
-                if not acc[k2]:
-                    del acc[k2]
-        return self.normalize([(c, dict(k)) for k, c in acc.items()])
-
     # ---- differential matrices ----
 
     def d3_matrix(self, d, s):
-        """Matrix of d3 from basis(d, s) to basis(d-1, s+3)."""
+        """d3 from basis(d, s) to basis(d-1, s+3) over F2: one int bitset
+        column per source monomial, bit i set where target monomial i has
+        coefficient 1.  Every target lies in filtration s + 3 >= 3, where
+        each group is Z/2 and normalize reduces mod 2, so this is all of
+        d3."""
         ck = (d, s)
-        if ck in self._matrix_cache:
-            return self._matrix_cache[ck]
-        src = self.basis(d, s)
-        dst = self.basis(d - 1, s + 3)
-        index = {m: i for i, m in enumerate(dst)}
-        mat = [[0] * len(src) for _ in range(len(dst))]
-        for j, mono in enumerate(src):
-            for k2, c in self.d3_monomial(mono).items():
-                mat[index[k2]][j] = c
-        mat = tuple(tuple(r) for r in mat)
-        self._matrix_cache[ck] = mat
-        return mat
+        if ck not in self._matrix_cache:
+            index = {m: i for i, m in enumerate(self.basis(d - 1, s + 3))}
+            self._matrix_cache[ck] = tuple(
+                sum(1 << index[k] for k in self.d3_monomial(m))
+                for m in self.basis(d, s))
+        return self._matrix_cache[ck]
 
 
 # -- the concrete pages --------------------------------------------------
@@ -486,7 +478,7 @@ def homotopy_groups(page, max_degree):
 
 def free_kernel_lattice(page, d):
     """HNF rows of the d3-kernel lattice on the free sector in degree d."""
-    return preimage_lattice(page.d3_matrix(d, 0), len(page.basis(d, 0)))
+    return preimage_lattice(page.d3_matrix(d, 0))
 
 
 # -- hard-coded targets ---------------------------------------------------
@@ -646,17 +638,6 @@ def _page_map(target, images):
     return phi
 
 
-def _mod2_columns(matrix, ncols):
-    """The columns of an integer matrix mod 2, each an int bitset over
-    the rows; ncols is given because a matrix with no rows has none."""
-    cols = [0] * ncols
-    for i, row in enumerate(matrix):
-        for j, v in enumerate(row):
-            if v & 1:
-                cols[j] |= 1 << i
-    return cols
-
-
 def _mod2_product(outer, inner):
     """outer @ inner over F2, both given as bitset columns."""
     out = []
@@ -736,9 +717,8 @@ def surjectivity_check(n_param, max_degree):
                 return True, "free-sector determinant %d" % det
         elif _f2_rank(bits) < n:
             return True, "torsion-sector map not bijective mod 2"
-        there = _mod2_product(_mod2_columns(target.d3_matrix(d, s), n), bits)
-        back = _mod2_product(phi_columns(d - 1, s + 3)[1],
-                             _mod2_columns(sub.d3_matrix(d, s), n))
+        there = _mod2_product(target.d3_matrix(d, s), bits)
+        back = _mod2_product(phi_columns(d - 1, s + 3)[1], sub.d3_matrix(d, s))
         if there != back:
             return True, "differential does not commute"
         return True, None

@@ -88,6 +88,14 @@ def test_genus_bad_chern_string(run):
     assert "key=value" in out
 
 
+def test_genus_repeated_chern_key(run):
+    # a repeated key is refused, not overwritten (c2=24 alone prints 2*b2)
+    code, out = run(["genus", "--dim", "4", "--chern", "c2=1,c2=24"])
+    assert code == 2
+    assert "c2 twice" in out
+    assert "b2" not in out
+
+
 def test_homotopy_tjf(run):
     code, out = run(["homotopy", "--target", "tjf", "--max-degree", "6"])
     assert code == 0

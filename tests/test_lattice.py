@@ -4,11 +4,11 @@ import pytest
 
 from jfl.lattice import (FPAbelianGroup, determinant, hermite_normal_form,
                          identity_matrix, in_row_span, invariant_factors,
-                         kernel_basis, mat_mul, mat_vec,
+                         kernel_basis, mat_vec,
                          smith_normal_form, snf_diagonal,
                          solve_column_combination, transpose, xgcd)
 from property_suites import (bareiss_determinant, determinant_matches_bareiss,
-                             snf_postconditions)
+                             mat_mul, snf_postconditions)
 
 
 def test_xgcd():

@@ -1,7 +1,11 @@
+import math
+import random
+
 import pytest
 
 from jfl import ring, spectral
-from jfl.lattice import FPAbelianGroup, invariant_factors
+from jfl.lattice import (FPAbelianGroup, hermite_normal_form, in_row_span,
+                         invariant_factors, kernel_basis)
 from jfl.spectral import (DEVIATIONS, BigradedPage, NotAComplex,
                           UnsupportedDegree, check_msu_table,
                           check_tjf_groups, compare_homotopy,
@@ -9,7 +13,8 @@ from jfl.spectral import (DEVIATIONS, BigradedPage, NotAComplex,
                           free_kernel_lattice, group_to_json, homology_at,
                           homotopy_groups, msu_page, msu_sub_page,
                           preimage_lattice, surjectivity_check, tjf_page)
-from property_suites import bareiss_determinant, d3_squared_zero, signed_leibniz
+from property_suites import (bareiss_determinant, d3_element, d3_squared_zero,
+                             signed_leibniz)
 
 
 class TestHomologyAt:
@@ -98,7 +103,7 @@ class TestTjfPage:
         assert page.d3_monomial(_key(b2=3)) == {_key(b2=2, h1=3): 1}
         assert page.d3_monomial(_key(b2=1, b3=1)) == {}
         assert page.d3_monomial(_key(b4=1)) == {}
-        assert page.d3_matrix(4, 0) == ((1,),)
+        assert page.d3_matrix(4, 0) == (1,)
 
     def test_degree4_homology_is_doubled_line(self, page):
         assert homology_at(page, 4, 0) == FPAbelianGroup(1)
@@ -228,7 +233,7 @@ def test_free_homology_is_the_kernel_lattice_rank(page_of, max_degree):
     # the full-rank answer against the kernel lattice it skips
     page = page_of(max_degree)
     for d in range(max_degree + 1):
-        kernel = preimage_lattice(page.d3_matrix(d, 0), len(page.basis(d, 0)))
+        kernel = preimage_lattice(page.d3_matrix(d, 0))
         assert homology_at(page, d, 0) == FPAbelianGroup(len(kernel)), d
 
 
@@ -242,13 +247,49 @@ def test_torsion_homology_is_the_f2_count(page_of, max_degree):
     size, rank = {}, {}
     for k in range(max_degree + 4):
         size[k] = len(page.basis(k + 1, 1))
-        rank[k] = spectral._f2_rank(
-            spectral._mod2_columns(page.d3_matrix(k + 1, 1), size[k]))
+        rank[k] = spectral._f2_rank(page.d3_matrix(k + 1, 1))
     for n in range(max_degree + 1):
         for s in range(1, n + 1):
             k = n - s
             dim = size[k] - rank[k] - (rank[k + 4] if s >= 3 else 0)
             assert homology_at(page, n, s) == FPAbelianGroup(0, (2,) * dim), (n, s)
+
+
+@pytest.mark.parametrize("page_of", [tjf_page, msu_page])
+def test_d3_matrix_columns_are_all_of_d3(page_of):
+    # each column, read back as a page element, is d3 of its monomial:
+    # every target lies in a Z/2 group, so no coefficient other than 1
+    page = page_of(40)
+    for d in range(41):
+        for s in range(d + 1):
+            dst = page.basis(d - 1, s + 3)
+            for m, col in zip(page.basis(d, s), page.d3_matrix(d, s)):
+                element = {k: 1 for i, k in enumerate(dst) if col >> i & 1}
+                assert element == d3_element(page, {m: 1}), (d, s, m)
+
+
+def test_preimage_lattice_on_random_f2_columns():
+    # on up to 8 columns, zero columns and zero top rows included: the
+    # same HNF as with the zero rows kept, D x = 0 mod 2 on every row x,
+    # 2e_i in the lattice, and index 2^rank_F2(D)
+    rng = random.Random(20261019)
+    for _ in range(400):
+        n, rows = rng.randrange(9), rng.randrange(9)
+        d_out = tuple(0 if rng.random() < 0.25 else rng.getrandbits(rows)
+                      for _ in range(n))
+        hnf = preimage_lattice(d_out)
+        # the kernel of [D | 2I] with all `rows` rows, zero ones included
+        aug = [[(c >> i) & 1 for c in d_out] + [2 * (i == j) for j in range(rows)]
+               for i in range(rows)]
+        assert hnf == hermite_normal_form(
+            [v[:n] for v in kernel_basis(aug, ncols=n + rows)], n), d_out
+        for x in hnf:
+            bits = sum((v & 1) << j for j, v in enumerate(x))
+            assert spectral._mod2_product(d_out, [bits]) == [0], (d_out, x)
+        for i in range(n):
+            assert in_row_span(hnf, [2 * (i == j) for j in range(n)]), d_out
+        pivots = [next(v for v in row if v) for row in hnf]
+        assert math.prod(pivots) == 2 ** spectral._f2_rank(d_out), d_out
 
 
 def _with_d3_on_b4(page_of):
@@ -282,12 +323,11 @@ def _b4_survives(max_degree):
         "tjf, d3 b4 and b4 survives"])
 def test_free_incoming_matches_the_dense_matrix(page_of, max_degree):
     # the s = 3 relations from the monomials g m against every column of
-    # the dense free-sector matrix mod 2, the path they replaced
+    # the free-sector d3_matrix, every free monomial's column
     page = page_of(max_degree)
     for d in range(max_degree + 1):
-        dense = spectral._mod2_columns(page.d3_matrix(d + 1, 0),
-                                       len(page.basis(d + 1, 0)))
-        assert set(spectral._free_incoming(page, d)) - {0} == set(dense) - {0}, d
+        columns = page.d3_matrix(d + 1, 0)
+        assert set(spectral._free_incoming(page, d)) - {0} == set(columns) - {0}, d
 
 
 @pytest.mark.parametrize("target", [{"h1": 2}, {"h1": 3, "b4": 1},
@@ -359,8 +399,12 @@ class TestMsuPage:
 
 
 def test_check_tjf_groups_report():
-    report = check_tjf_groups(16)
+    # the page's free kernel lattice against the ring's certified diagonal
+    # in every even degree through the default guard
+    guard = spectral.DEFAULT_MAX_DEGREE_GUARD
+    report = check_tjf_groups(guard)
     assert report["status"] == "ok"
+    assert len(report["image_rows"]) == guard // 2 + 1
     assert all(r["match"] for r in report["rows"])
     assert all(r["match"] for r in report["image_rows"])
     assert report["image_rows"][2]["degree"] == 4
@@ -417,7 +461,7 @@ def _bidegree_failure(sub, target, phi, d, s):
         return "free-sector determinant %d" % det
     if s and det % 2 == 0:
         return "torsion-sector map not bijective mod 2"
-    if any(target.d3_element(image) != phi(sub.d3_monomial(m))
+    if any(d3_element(target, image) != phi(sub.d3_monomial(m))
            for m, image in zip(src, images)):
         return "differential does not commute"
     return None
@@ -685,14 +729,13 @@ def _without_h1(mons):
 @pytest.mark.parametrize("page_of", [tjf_page, msu_sub_page])
 def test_torsion_sectors_depend_on_d_minus_s_only(page_of):
     # the fact behind one torsion verdict per k = d - s: for s >= 1 the
-    # basis is h1^s times one tuple of monomials and d3 is one matrix mod 2
+    # basis is h1^s times one tuple of monomials and d3 one tuple of F2 columns
     page = page_of(64)
     for k in range(61):
         bases = {_without_h1(page.basis(k + s, s)) for s in range(1, 5)}
-        d3 = {tuple(tuple(v % 2 for v in row)
-                    for row in page.d3_matrix(k + s, s)) for s in range(1, 5)}
+        d3 = {page.d3_matrix(k + s, s) for s in range(1, 5)}
         assert len(bases) == 1 and len(d3) == 1, k
-    assert page.d3_matrix(5, 1) == ((1,),)  # h1 b2 -> h1^4, not zero
+    assert page.d3_matrix(5, 1) == (1,)  # h1 b2 -> h1^4, not zero
 
 
 def test_phi_columns_depend_on_d_minus_s_only():
