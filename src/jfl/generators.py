@@ -12,9 +12,11 @@ theta_01(Q) = theta_00(-Q), the theta_01 square is the theta_00 square
 with its odd Q-orders negated.
 
 `generator_table(T)` caches one GeneratorTable per truncation, and the
-table builds each generator on first access: `expand --gen a` builds a
-alone.  It also keeps the generator squares and b2 b3^2, which the
-identity checks share.
+table builds each generator on first access, only through its public
+builder (`gen_a` ... `gen_b8`): `expand --gen a` builds a alone.  b2
+and b4 of one truncation share the theta squares through one small
+cache on `_xi_square_parts`.  The table also keeps the generator
+squares and b2 b3^2, which the identity checks share.
 
 Sign calibration: the index-raising padding used to compare a weight-k
 form against ring elements is stabilizer_power(a, k) = (-1)^(k//2) a^k,
@@ -107,12 +109,13 @@ def _xi_square(theta):
     return exact_divide((theta * theta).scale(4), theta0 * theta0)
 
 
+@lru_cache(maxsize=2)
 def _xi_square_parts(truncation):
     """(E, O, C) on the doubled grid: E and O the even and odd Q-orders
     of A = 4 xi_00^2, and C = 4 xi_10^2, from theta_00 = sum Q^(n^2) y^n
     and theta_10 = sum Q^(n(n+1)) y^((2n+1)/2).  B = 4 xi_01^2 needs no
     theta square of its own: theta_01(Q) = theta_00(-Q), so B = A(-Q)
-    = E - O."""
+    = E - O.  Cached, so that b2 and b4 of one truncation share them."""
     M = 2 * truncation
     A = _xi_square(_theta_sum(M, 0, _one, doubled=True))
     halves = ({}, {})
@@ -122,20 +125,11 @@ def _xi_square_parts(truncation):
             _xi_square(_theta_sum(M, 1, _one, doubled=True)))
 
 
-def _b2_from_parts(E, O, C):
-    # A + B + C with A + B = 2E
-    return _fold_doubled_q(E.scale(2) + C)
-
-
-def _b4_from_parts(E, O, C):
-    # (AB + (A + B) C)/8 with AB = (E + O)(E - O) = E^2 - O^2
-    return _fold_doubled_q((E * E - O * O + (E * C).scale(2)).divide_exact(8))
-
-
 def gen_b2(truncation):
     """The index-2 weight-0 generator, q^0 part y + 10 + y^{-1}:
-    A + B + C, folded."""
-    return _b2_from_parts(*_xi_square_parts(truncation))
+    A + B + C = 2E + C, folded."""
+    E, _, C = _xi_square_parts(truncation)
+    return _fold_doubled_q(E.scale(2) + C)
 
 
 def gen_b4(truncation):
@@ -143,18 +137,20 @@ def gen_b4(truncation):
 
     Built from the elementary symmetric combination of the three
     normalized theta squares: with A, B, C as above this is
-    (AB + BC + CA)/8, an exact division, here (E^2 - O^2 + 2EC)/8.
+    (AB + BC + CA)/8, an exact division, here (E^2 - O^2 + 2EC)/8
+    since AB = (E + O)(E - O) and A + B = 2E.
     """
-    return _b4_from_parts(*_xi_square_parts(truncation))
+    E, O, C = _xi_square_parts(truncation)
+    return _fold_doubled_q((E * E - O * O + (E * C).scale(2)).divide_exact(8))
 
 
 class GeneratorTable:
     """The five generators to one truncation, each built on first access.
 
     Equality and hash follow the truncation alone, which determines
-    every series.  b2 and b4 share the theta-constant squares, and the
-    identity checks share the squares of the generators (`square`) and
-    b2 b3^2 (`b2_b3_square`).
+    every series.  Each generator comes from its gen_* builder, looked up
+    as a module global; the identity checks share the squares of the
+    generators (`square`) and b2 b3^2 (`b2_b3_square`).
     """
 
     def __init__(self, truncation):
@@ -177,16 +173,9 @@ class GeneratorTable:
     def a(self):
         return gen_a(self.truncation)
 
-    def _theta_squares(self):
-        """The parts b2 and b4 share, kept only until both are built."""
-        parts = self.__dict__.pop("_parts", None) or _xi_square_parts(self.truncation)
-        if "b2" not in self.__dict__ and "b4" not in self.__dict__:
-            self.__dict__["_parts"] = parts  # the first of the two
-        return parts
-
     @cached_property
     def b2(self):
-        return _b2_from_parts(*self._theta_squares())
+        return gen_b2(self.truncation)
 
     @cached_property
     def b3(self):
@@ -194,7 +183,7 @@ class GeneratorTable:
 
     @cached_property
     def b4(self):
-        return _b4_from_parts(*self._theta_squares())
+        return gen_b4(self.truncation)
 
     @cached_property
     def b8(self):

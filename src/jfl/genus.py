@@ -96,7 +96,7 @@ class ChernData:
         return self.numbers.get(tuple(sorted(parts, reverse=True)), 0)
 
 
-def chern_data(dim, **values):
+def chern_data(dim, /, **values):
     """Convenience constructor; keys like c2, c3, c4, c2sq."""
     names = {"c2": (2,), "c3": (3,), "c4": (4,), "c2sq": (2, 2)}
     numbers = {}

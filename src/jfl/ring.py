@@ -308,16 +308,6 @@ def cokernel(d):
     return FPAbelianGroup(0, (2,) * _image_lattice(d).count(2))
 
 
-def expected_cokernel_rank(d):
-    """#{(m, n) >= 0 : 4(2m+1) + 16n = d}."""
-    return len(cokernel_representatives(d))
-
-
-def expected_cokernel(d):
-    """The cokernel the b2^(2m+1) b8^n pattern predicts in degree d."""
-    return FPAbelianGroup(0, (2,) * expected_cokernel_rank(d))
-
-
 def cokernel_representatives(d):
     """The monomials b2^(2m+1) b8^n of degree d, descending lex."""
     return [m for m in degree_basis(d) if m[0] % 2 and m[1] == m[2] == 0]

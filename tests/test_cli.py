@@ -96,6 +96,15 @@ def test_genus_repeated_chern_key(run):
     assert "b2" not in out
 
 
+def test_genus_chern_key_dim_is_bad_input(capsys):
+    # "dim" is an unknown Chern number name, not chern_data's own argument
+    code = main(["genus", "--dim", "4", "--chern", "dim=5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "error: unknown Chern number name 'dim'\n"
+    assert "Traceback" not in captured.err
+
+
 def test_homotopy_tjf(run):
     code, out = run(["homotopy", "--target", "tjf", "--max-degree", "6"])
     assert code == 0

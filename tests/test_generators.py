@@ -60,12 +60,10 @@ def test_b2_square_anchor(tab):
 
 
 def test_z0_specializations(tab):
-    # constant terms count lattice points: 12 for b2, 2 for b3
-    assert tab.b2.specialize_z0()[0] == 12
-    assert tab.b3.specialize_z0()[0] == 2
-    assert tab.b4.specialize_z0()[0] == 6
-    assert tab.b8.specialize_z0()[0] == 3
-    assert tab.a.specialize_z0() == [0] * T
+    # at y = 1 a weight-0 weak Jacobi form is a weight-0 modular form, so
+    # a constant: 12 for b2, 2 for b3, 6 for b4, 3 for b8; a vanishes
+    for name, c in (("a", 0), ("b2", 12), ("b3", 2), ("b4", 6), ("b8", 3)):
+        assert tab.series_of(name).specialize_z0() == [c] + [0] * (T - 1), name
 
 
 def test_y_support_grows_linearly(tab):
@@ -208,6 +206,45 @@ def test_table_builds_only_what_is_asked(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("-y^(-1/2) + y^(1/2)")
     with pytest.raises(AssertionError):
         t.b2
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(generators, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(generators, name, counted)
+    return calls
+
+
+def test_table_builds_b2_b4_through_their_builders(monkeypatch):
+    # the module globals gen_b2/gen_b4 are what the benchmark trace wraps
+    N = 11
+    expected = gen_b2(N), gen_b4(N)
+    calls = {name: _counting(monkeypatch, name) for name in ("gen_b2", "gen_b4")}
+    t = generators.GeneratorTable(N)
+    assert (t.b2, t.b4) == expected
+    assert (t.b2, t.b4) == expected
+    assert calls == {"gen_b2": [(N,)], "gen_b4": [(N,)]}
+
+
+@pytest.mark.parametrize("via_table", [True, False])
+def test_b2_b4_share_the_theta_squares(monkeypatch, via_table):
+    # theta_00 and theta_10 are squared once each for b2 and b4 together
+    N = 7
+    generators._xi_square_parts.cache_clear()
+    calls = _counting(monkeypatch, "_xi_square")
+    if via_table:
+        t = generators.GeneratorTable(N)
+        b2, b4 = t.b2, t.b4
+    else:
+        b2, b4 = gen_b2(N), gen_b4(N)
+    assert len(calls) == 2
+    assert b2.q_layer(0) == {-2: 1, 0: 10, 2: 1}
+    assert b4.q_layer(0) == {-2: 1, 0: 4, 2: 1}
 
 
 def test_squares_are_built_once(tab):
