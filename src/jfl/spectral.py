@@ -33,9 +33,11 @@ generator by generator, so no basis is sorted.  The ring names
 b2, b3, b4, b8 are in tjf generator order.
 The surjectivity check applies phi_N to the msu page restricted to h1,
 B2, B3, B4 and C8 (msu_sub_page), in the coordinates of the tjf page,
-which is built on its own: free sectors need a unimodular determinant,
-torsion sectors are checked over F2 once per d - s, and d3 commutation
-is an identity of F2 bitset columns.
+which is built on its own.  phi_N is a ring map: free images are ring
+products, torsion columns those images mod 2 once per d - s, and each
+rewrite rule is checked once, in the ring.  Free sectors need a
+unimodular determinant, torsion sectors full rank over F2, and d3
+commutation is an identity of F2 bitset columns.
 
 Three conventions here go beyond the literally printed relation lists
 of the source presentations; every report carries them:
@@ -312,17 +314,6 @@ class BigradedPage:
             if acc[key] == 0:
                 del acc[key]
         return acc
-
-    def multiply(self, x, y):
-        """Product of page elements given as {mono_key: coeff} maps."""
-        terms = []
-        for k1, c1 in x.items():
-            for k2, c2 in y.items():
-                m = dict(k1)
-                for n2, e2 in k2:
-                    m[n2] = m.get(n2, 0) + e2
-                terms.append((c1 * c2, m))
-        return self.normalize(terms)
 
     def d3_monomial(self, key):
         """Signed Leibniz extension of the generator rule to a monomial."""
@@ -609,33 +600,37 @@ def _substitution_images(n_param):
     return {"B2": b2, "B3": b3, "B4": b4, "C8": ring.JFElement(quarter)}
 
 
-def _page_map(target, images):
-    """phi_N into target-page elements: a monomial goes to the target
-    page's product of its factors' images, and its one normalize serves
-    every sector.  A free monomial's image is built once, from the one
-    with one factor fewer; h1^s m goes to h1^s times the image of m."""
-    gens = {name: {_page_key(m): c for m, c in x.coeffs.items()}
-            for name, x in images.items()}
-    free = {(): {(): 1}}
-    keys = {}  # equal keys share one object, which keeps the memo small
+def _ring_images(images):
+    """phi_N of a free sub-page monomial key as a ring element: the
+    product of the image of the key with one factor fewer and that
+    factor's image, built once."""
+    free = {(): ring.ONE}
 
-    def free_image(key):
+    def image(key):
         if key not in free:
             name, e = key[-1]
             rest = key[:-1] + (((name, e - 1),) if e > 1 else ())
-            product = target.multiply(free_image(rest), gens[name])
-            free[key] = {keys.setdefault(k, k): c for k, c in product.items()}
+            free[key] = image(rest) * images[name]
         return free[key]
 
-    def phi(x):
-        terms = []
-        for key, c in x.items():
-            s = key[0][1] if key and key[0][0] == "h1" else 0
-            terms.extend((c * c2, dict(k, h1=s))
-                         for k, c2 in free_image(key[1:] if s else key).items())
-        return target.normalize(terms)
+    return image
 
-    return phi
+
+def _torsion_columns(sub, target, image, k):
+    """Phi(k + s, s), the same for every s >= 1, as F2 bitset columns:
+    h1^s m goes to h1^s image(m), terms holding a target torsion killer
+    dropped and the rest read mod 2; any other term outside
+    target.basis(k + s, s) raises KeyError."""
+    index = {m[1:]: i for i, m in enumerate(target.basis(k + 1, 1))}
+    columns = []
+    for m in sub.basis(k + 1, 1):
+        col = 0
+        for mono, c in image(m[1:]).coeffs.items():
+            key = _page_key(mono)
+            if target.spec.torsion_killers.isdisjoint(n for n, _ in key):
+                col |= (c & 1) << index[key]
+        columns.append(col)
+    return columns
 
 
 def _mod2_product(outer, inner):
@@ -669,39 +664,37 @@ def surjectivity_check(n_param, max_degree):
     """Verify phi_N maps msu_sub_page, the msu page restricted to h1, B2,
     B3, B4 and C8, isomorphically per bidegree onto the tjf page.
 
-    In target-page coordinates, phi_N must respect the sub-page's rewrite
-    rule, free sectors need a unimodular matrix, torsion sectors one of
+    phi_N is a ring map, computed in the ring and read in target-page
+    coordinates.  It must respect each sub-page rewrite rule, checked
+    once; free sectors need a unimodular matrix, torsion sectors one of
     full rank over F2, and d3 must commute with phi_N.  Both d3 maps land
     in filtration s + 3 >= 3, where every group is Z/2, so commutation is
     the mod-2 matrix identity D_target Phi(d, s) = Phi(d-1, s+3) D_sub.
     For s >= 1 both bases are h1^s times the same monomials of degree
     k = d - s, phi_N and d3 (whose sign (-1)^s vanishes mod 2) act on
-    them alike for every s, so each k is checked once, at (k + 1, 1), and
-    its verdict is reused.  The report names the first failing bidegree
-    of the walk over (d, s), if any.
+    them alike for every s, so the columns of each k are built once and
+    checked once, at (k + 1, 1), and the verdict is reused.  The report
+    names the first failing bidegree of the walk over (d, s), if any.
     """
     sub = msu_sub_page(max_degree)
     target = tjf_page(max_degree)
-    phi = _page_map(target, _substitution_images(n_param))
+    image = _ring_images(_substitution_images(n_param))
     # a rewrite rule first acts in twice its generator's degree, unseen by
-    # the normal-form bases; there phi(g^2) = phi(g)^2 must match the rule
-    rules = [(2 * g.degree, g.name, sub.spec.rewrite_rules[g.name])
-             for g in sub.spec.generators if g.name in sub.spec.rewrite_rules]
+    # the normal-form bases; there phi(g)^2 must equal phi of the rule
+    broken, rules = {}, sub.spec.rewrite_rules
+    for g in sub.spec.generators:
+        if g.name in rules and 2 * g.degree <= max_degree:
+            diff = image(((g.name, 2),))
+            for c, m in rules[g.name]:
+                diff -= image(sub.key(m)).scale(c)
+            if not diff.is_zero():
+                broken.setdefault(2 * g.degree, []).append(g.name)
+    columns = {}  # k -> _torsion_columns, shared by its three readers
 
-    def phi_columns(d, s):
-        """Phi(d, s) over target.basis(d, s): per sub-page basis monomial,
-        its coefficient list and the same mod 2 as a bitset."""
-        index = {m: i for i, m in enumerate(target.basis(d, s))}
-        ints, bits = [], []
-        for m in sub.basis(d, s):
-            col, b = [0] * len(index), 0
-            for key, c in phi({m: 1}).items():
-                col[index[key]] = c
-                if c & 1:
-                    b |= 1 << index[key]
-            ints.append(col)
-            bits.append(b)
-        return ints, bits
+    def torsion_columns(k):
+        if k not in columns:
+            columns[k] = _torsion_columns(sub, target, image, k)
+        return columns[k]
 
     def verdict(d, s):
         """(counted, reason or None) for (d, s) past the rewrite rules."""
@@ -710,15 +703,23 @@ def surjectivity_check(n_param, max_degree):
             return False, "basis sizes %d vs %d" % (n, size)
         if not n:
             return False, None
-        ints, bits = phi_columns(d, s)
         if s == 0:
+            index = {m: i for i, m in enumerate(target.basis(d, 0))}
+            ints = [[0] * size for _ in range(n)]
+            for col, m in zip(ints, sub.basis(d, 0)):
+                for mono, c in image(m).coeffs.items():
+                    col[index[_page_key(mono)]] = c
             det = determinant(ints)  # of the transpose, which is the same
             if det not in (1, -1):
                 return True, "free-sector determinant %d" % det
-        elif _f2_rank(bits) < n:
-            return True, "torsion-sector map not bijective mod 2"
+            bits = [sum((c & 1) << i for i, c in enumerate(col))
+                    for col in ints]
+        else:
+            bits = torsion_columns(d - s)
+            if _f2_rank(bits) < n:
+                return True, "torsion-sector map not bijective mod 2"
         there = _mod2_product(target.d3_matrix(d, s), bits)
-        back = _mod2_product(phi_columns(d - 1, s + 3)[1], sub.d3_matrix(d, s))
+        back = _mod2_product(torsion_columns(d - s - 4), sub.d3_matrix(d, s))
         if there != back:
             return True, "differential does not commute"
         return True, None
@@ -726,11 +727,9 @@ def surjectivity_check(n_param, max_degree):
     torsion = {}  # k = d - s -> the verdict shared by every s >= 1
     checked, failure = 0, None
     for d, s in ((d, s) for d in range(max_degree + 1) for s in range(d + 1)):
-        broken = [name for rd, name, rule in rules if (rd, 0) == (d, s)
-                  and phi({((name, 2),): 1})
-                  != phi({sub.key(m): c for c, m in rule})]
-        if broken:
-            reason = "substitution breaks the rewrite rule of " + ", ".join(broken)
+        if s == 0 and d in broken:
+            reason = ("substitution breaks the rewrite rule of "
+                      + ", ".join(broken[d]))
         else:
             if s == 0:
                 counted, reason = verdict(d, 0)

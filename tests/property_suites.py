@@ -400,6 +400,20 @@ def d3_element(page, x):
     return page.normalize([(c, dict(k)) for k, c in acc.items()])
 
 
+def multiply(page, x, y):
+    """Product of page elements given as {mono_key: coeff} maps, through
+    the page's normalize: the page product that the signed-Leibniz suite
+    and the surjectivity oracle use."""
+    terms = []
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            m = dict(k1)
+            for n2, e2 in k2:
+                m[n2] = m.get(n2, 0) + e2
+            terms.append((c1 * c2, m))
+    return page.normalize(terms)
+
+
 def _spectral_pages():
     return (spectral.tjf_page(24), spectral.msu_page(32),
             spectral.msu_sub_page(24))
@@ -442,12 +456,12 @@ def signed_leibniz(cases=1000, seed=20260823):
         if not b1 or not b2:
             continue
         u, v = {rng.choice(b1): 1}, {rng.choice(b2): 1}
-        lhs = d3_element(page, page.multiply(u, v))
+        lhs = d3_element(page, multiply(page, u, v))
         sign = -1 if d1 % 2 else 1
         rhs = {}
-        for k, c in page.multiply(d3_element(page, u), v).items():
+        for k, c in multiply(page, d3_element(page, u), v).items():
             rhs[k] = rhs.get(k, 0) + c
-        for k, c in page.multiply(u, d3_element(page, v)).items():
+        for k, c in multiply(page, u, d3_element(page, v)).items():
             rhs[k] = rhs.get(k, 0) + sign * c
         rhs = page.normalize([(c, dict(k)) for k, c in rhs.items()])
         assert lhs == rhs

@@ -195,13 +195,14 @@ def test_table_builds_only_what_is_asked(monkeypatch, capsys):
 
     monkeypatch.setattr(generators, "_xi_square_parts", unreachable)
     monkeypatch.setattr(generators, "_xi_square", unreachable)
-    N = 13  # a truncation no other test caches
-    t = generator_table(N)
+    N = 13
+    # a fresh table: the cached one may already hold b2 from another test
+    t = generators.GeneratorTable(N)
     assert t.a == gen_a(N)
     assert (t.b3, t.b8) == (gen_b3(N), gen_b8(N))
-    assert t == generators.GeneratorTable(N) != generator_table(N + 1)
-    assert hash(t) == hash(generators.GeneratorTable(N))
-    assert {t, generators.GeneratorTable(N)} == {t}
+    assert t == generator_table(N) != generator_table(N + 1)
+    assert hash(t) == hash(generator_table(N))
+    assert {t, generator_table(N)} == {t}
     assert main(["expand", "--gen", "a", "--qmax", "14"]) == 0
     assert capsys.readouterr().out.startswith("-y^(-1/2) + y^(1/2)")
     with pytest.raises(AssertionError):

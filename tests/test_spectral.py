@@ -14,7 +14,7 @@ from jfl.spectral import (DEVIATIONS, BigradedPage, NotAComplex,
                           homotopy_groups, msu_page, msu_sub_page,
                           preimage_lattice, surjectivity_check, tjf_page)
 from property_suites import (bareiss_determinant, d3_element, d3_squared_zero,
-                             signed_leibniz)
+                             multiply, signed_leibniz)
 
 
 class TestHomologyAt:
@@ -467,11 +467,41 @@ def _bidegree_failure(sub, target, phi, d, s):
     return None
 
 
-def _oracle_surjectivity_check(n_param, max_degree):
-    """surjectivity_check as it was: every bidegree on its own."""
+def _page_map(target, images):
+    """phi_N into target-page elements through page arithmetic, the
+    oracle's phi, independent of the ring products surjectivity_check
+    uses: a monomial goes to the target page's product of its factors'
+    images, and its one normalize serves every sector.  A free monomial's
+    image is built once, from the one with one factor fewer; h1^s m goes
+    to h1^s times the image of m."""
+    gens = {name: {spectral._page_key(m): c for m, c in x.coeffs.items()}
+            for name, x in images.items()}
+    free = {(): {(): 1}}
+
+    def free_image(key):
+        if key not in free:
+            name, e = key[-1]
+            rest = key[:-1] + (((name, e - 1),) if e > 1 else ())
+            free[key] = multiply(target, free_image(rest), gens[name])
+        return free[key]
+
+    def phi(x):
+        terms = []
+        for key, c in x.items():
+            s = key[0][1] if key and key[0][0] == "h1" else 0
+            terms.extend((c * c2, dict(k, h1=s))
+                         for k, c2 in free_image(key[1:] if s else key).items())
+        return target.normalize(terms)
+
+    return phi
+
+
+def _oracle_surjectivity_check(n_param, max_degree, page_map=_page_map):
+    """surjectivity_check as it was: every bidegree on its own, with phi_N
+    from page_map."""
     sub = spectral.msu_sub_page(max_degree)
     target = tjf_page(max_degree)
-    phi = spectral._page_map(target, spectral._substitution_images(n_param))
+    phi = page_map(target, spectral._substitution_images(n_param))
     rules = [(2 * g.degree, g.name, sub.spec.rewrite_rules[g.name])
              for g in sub.spec.generators if g.name in sub.spec.rewrite_rules]
     checked, failure = 0, None
@@ -503,7 +533,7 @@ def _oracle_surjectivity_check(n_param, max_degree):
 _right_images = spectral._substitution_images
 _right_sub_page = spectral.msu_sub_page
 _right_msu_page = spectral.msu_page
-_right_page_map = spectral._page_map
+_right_torsion_columns = spectral._torsion_columns
 
 
 def _crooked_images(n_param):
@@ -538,8 +568,16 @@ def _sub_page_where_b3_survives_h1(max_degree):
 
 def _page_map_without_torsion(target, images):
     # phi_N with every h1 term of its argument dropped
-    phi = _right_page_map(target, images)
+    phi = _page_map(target, images)
     return lambda x: phi({k: c for k, c in x.items() if not dict(k).get("h1")})
+
+
+def _torsion_columns_without_torsion(sub, target, image, k):
+    # the same in surjectivity_check: every torsion column is zero
+    return [0] * len(sub.basis(k + 1, 1))
+
+
+_TWIST = (("B2", 1), ("C8", 1))
 
 
 def _page_map_with_a_torsion_twist(target, images):
@@ -548,18 +586,27 @@ def _page_map_with_a_torsion_twist(target, images):
     # so the sector stays bijective.  d3 of it is h1^(s+3) b2^4 mod 2,
     # which phi(d3 (h1^s B2 C8)) = phi(h1^(s+3) C8) lacks: first met at
     # (21, 1), after every free sector below it has passed
-    phi = _right_page_map(target, images)
-    twist = (("B2", 1), ("C8", 1))
+    phi = _page_map(target, images)
 
     def twisted(x):
         terms = [(c, dict(k)) for k, c in phi(x).items()]
         for key, c in x.items():
             s = dict(key).get("h1", 0)
-            if s and tuple(p for p in key if p[0] != "h1") == twist:
+            if s and tuple(p for p in key if p[0] != "h1") == _TWIST:
                 terms.append((c, {"h1": s, "b2": 5}))
         return target.normalize(terms)
 
     return twisted
+
+
+def _torsion_columns_with_a_twist(sub, target, image, k):
+    # the same twist in surjectivity_check's torsion columns
+    columns = list(_right_torsion_columns(sub, target, image, k))
+    index = {m[1:]: i for i, m in enumerate(target.basis(k + 1, 1))}
+    for j, m in enumerate(sub.basis(k + 1, 1)):
+        if m[1:] == _TWIST:
+            columns[j] ^= 1 << index[(("b2", 5),)]
+    return columns
 
 
 # (name in spectral, replacement) per broken case
@@ -569,8 +616,14 @@ BROKEN = {
     "sub page without d3": ("msu_sub_page", _sub_page_without_d3),
     "sub page without C8": ("msu_sub_page", _sub_page_without_c8),
     "B3 survives h1": ("msu_sub_page", _sub_page_where_b3_survives_h1),
-    "phi kills h1": ("_page_map", _page_map_without_torsion),
-    "torsion twist": ("_page_map", _page_map_with_a_torsion_twist),
+    "phi kills h1": ("_torsion_columns", _torsion_columns_without_torsion),
+    "torsion twist": ("_torsion_columns", _torsion_columns_with_a_twist),
+}
+
+# the oracle's phi_N for the broken cases that change phi_N itself
+ORACLE_PAGE_MAP = {
+    "phi kills h1": _page_map_without_torsion,
+    "torsion twist": _page_map_with_a_torsion_twist,
 }
 
 
@@ -643,14 +696,36 @@ class TestSurjectivity:
             assert (surjectivity_check(n, max_degree)
                     == _oracle_surjectivity_check(n, max_degree)), n
 
+    @pytest.mark.parametrize("n", [-3, 2])
+    def test_matches_the_oracle_at_the_benchmark_degree(self, monkeypatch, n):
+        # the scoreboard workload runs surjectivity at 96
+        monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "128")
+        assert surjectivity_check(n, 96) == _oracle_surjectivity_check(n, 96)
+
+    def test_builds_each_torsion_sector_once(self, monkeypatch):
+        # the bijectivity verdict at (k + 1, 1) and the free and torsion
+        # commutation checks that read Phi(d - 1, s + 3) share one build
+        built = []
+
+        def counted(sub, target, image, k):
+            built.append(k)
+            return _right_torsion_columns(sub, target, image, k)
+
+        monkeypatch.setattr(spectral, "_torsion_columns", counted)
+        assert surjectivity_check(1, 64)["status"] == "ok"
+        # every nonempty torsion sector through 64 is built, none twice
+        assert set(range(0, 61, 4)) <= set(built)
+        assert len(built) == len(set(built))
+
     @pytest.mark.parametrize("case", sorted(BROKEN))
     def test_broken_cases_match_the_per_monomial_oracle(self, monkeypatch,
                                                         case):
         monkeypatch.setattr(spectral, *BROKEN[case])
+        page_map = ORACLE_PAGE_MAP.get(case, _page_map)
         for n in (0, 1):
             report = surjectivity_check(n, 32)
             assert report["status"] == "mismatch"
-            assert report == _oracle_surjectivity_check(n, 32), n
+            assert report == _oracle_surjectivity_check(n, 32, page_map), n
 
     def test_detects_a_broken_substitution(self, monkeypatch):
         monkeypatch.setattr(spectral, *BROKEN["crooked substitution"])
@@ -741,7 +816,7 @@ def test_torsion_sectors_depend_on_d_minus_s_only(page_of):
 def test_phi_columns_depend_on_d_minus_s_only():
     sub, target = msu_sub_page(64), tjf_page(64)
     for n in range(-3, 4):
-        phi = spectral._page_map(target, spectral._substitution_images(n))
+        phi = _page_map(target, spectral._substitution_images(n))
         for k in range(61):
             columns = set()
             for s in range(1, 5):
