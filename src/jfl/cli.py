@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
 from .series import check_guard, render_json_dict, render_text
 
@@ -93,8 +92,8 @@ def _group_str(group):
 
 
 def cmd_homotopy(args):
-    from . import spectral
     max_degree = check_guard(args.max_degree, "max degree")
+    from . import spectral
     _, rows, ok = spectral.compare_homotopy(args.target, max_degree)
     lines = []
     for row in rows:
@@ -109,8 +108,8 @@ def cmd_homotopy(args):
 
 
 def cmd_surjectivity(args):
-    from . import spectral
     max_degree = check_guard(args.max_degree, "max degree")
+    from . import spectral
     report = spectral.surjectivity_check(args.n_param, max_degree)
     if report["status"] == "ok":
         text = ("ok: %d bidegrees match at parameter %d through degree %d"
@@ -125,10 +124,10 @@ def cmd_surjectivity(args):
 
 
 def cmd_image(args):
-    from . import lattice, ring
     if args.degree < 0 or args.degree % 2:
         raise ValueError("degree must be even and nonnegative")
     degree = check_guard(args.degree, "degree")
+    from . import lattice, ring
     # raises ArithmeticError (exit 2) unless the certified lattice has a
     # 2 at exactly the b2^(2m+1) b8^n, so the representatives count it
     coker = ring.cokernel(degree)
@@ -323,6 +322,7 @@ def main(argv=None):
     except Exception as exc:  # a bug is still an error, not a mismatch
         message = str(exc)
         if not isinstance(exc, ValueError):
+            import traceback  # only here: it costs every request's start-up
             traceback.print_exc()
             message = "%s: %s" % (type(exc).__name__, message)
         result = {"status": "error", "payload": {"error": message},

@@ -32,7 +32,9 @@ def identity_matrix(n):
 
 
 def mat_vec(a, x):
-    return [sum(c * v for c, v in zip(row, x)) for row in a]
+    # over the nonzero entries of x only: a unit vector reads one column
+    nonzero = [(j, v) for j, v in enumerate(x) if v]
+    return [sum(row[j] * v for j, v in nonzero) for row in a]
 
 
 def transpose(a):

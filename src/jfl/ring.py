@@ -260,25 +260,34 @@ def _image_lattice(d):
     lower degree must lie in this lattice, that is, be even at the
     doubled monomials; and each row here must be, up to sign, one of
     those products (or the unit, in degree 0).  Either failure raises
-    ArithmeticError naming the degree.
+    ArithmeticError naming the degree.  Generators and rows are single
+    monomials, so the certificate works on (monomial, coefficient)
+    pairs: a product is reduced into a small dict, and only the
+    single-term products, kept as (monomial, |coefficient|), can match
+    a row.
     """
     basis = degree_basis(d)
     doubled = set(cokernel_representatives(d))
-    products = {ONE}
+    products = {((0, 0, 0, 0), 1)}
     for gen in IMAGE_GENERATORS:
-        low = d - gen.degree()
+        ((a1, b1, e1, g1), c1), = gen.coeffs.items()
+        low = d - monomial_degree((a1, b1, e1, g1))
         if low < 0:
             continue
-        for m, c in zip(degree_basis(low), _image_lattice(low)):
-            p = gen * JFElement({m: c})
-            if any(v % 2 for k, v in p.coeffs.items() if k in doubled):
+        for (a2, b2, e2, g2), c2 in zip(degree_basis(low), _image_lattice(low)):
+            p = {}
+            _accumulate_reduced(p, (a1 + a2, b1 + b2, e1 + e2, g1 + g2),
+                                c1 * c2)
+            if any(v % 2 for k, v in p.items() if k in doubled):
                 raise ArithmeticError(
                     "image lattice fails in degree %d: %s is odd at a "
-                    "b2^(2m+1) b8^n" % (d, render_element_text(p)))
-            products.update((p, -p))
+                    "b2^(2m+1) b8^n" % (d, render_element_text(JFElement(p))))
+            if len(p) == 1:
+                (m, c), = p.items()
+                products.add((m, abs(c)))
     diag = tuple(2 if m in doubled else 1 for m in basis)
     for m, c in zip(basis, diag):
-        if JFElement({m: c}) not in products:
+        if (m, c) not in products:
             raise ArithmeticError(
                 "image lattice fails in degree %d: %s is no generator times "
                 "a lower row" % (d, render_element_text(JFElement({m: c}))))

@@ -11,13 +11,15 @@ Realized bases per (degree, filtration) split into a free sector
 (filtration s >= 1, h1^s times monomials in the h1-survivors).
 d3 lands in filtration s + 3 >= 3, where every group is Z/2, so a page
 keeps it as a map over F2: one int bitset column per source monomial
-(BigradedPage.d3_matrix).
-Homology is computed by exact integer linear algebra via
-homology_at(page, d, s), in the page's two shapes: Z^n at filtration 0
-and (Z/2)^n above it.
+(BigradedPage.d3_matrix), read straight from the monomial's key, with
+no signs and no rewrites (BigradedPage.d3_columns).
+Homology is computed via homology_at(page, d, s), in the page's two
+shapes: Z^n at filtration 0 and (Z/2)^n above it.
   s = 0    nothing comes in and every target is torsion, so the
            kernel of Z^n -> (Z/2)^rows has finite index and the
-           homology is Z^n; the kernel lattice is not built
+           homology is Z^n: a count, from one knapsack per page over
+           the free generators' degrees and caps (free_count); neither
+           the basis nor the kernel lattice is built
   s >= 1   the kernel of d3 mod 2 as a lattice over 2Z^n, modulo 2Z^n
            and the incoming columns, zero and repeated ones dropped;
            one Smith form per bidegree rewrites all relations in kernel
@@ -97,11 +99,12 @@ def homology_at(page, d, s):
     """ker(d3)/im(d3) at (d, s) of the page, as an FPAbelianGroup.
 
     The group at (d, s) is Z^n at filtration 0 and (Z/2)^n above it,
-    and d3 raises filtration by 3; BigradedPage.basis and normalize
+    and d3 raises filtration by 3; BigradedPage.basis and d3_columns
     hard-wire that shape (h1 with 2h1 = 0), so no page can break it.
       s = 0   nothing comes in and the target is pure torsion, so the
-              kernel of Z^n -> (Z/2)^rows has finite index: Z^n, and
-              the kernel lattice is not built
+              kernel of Z^n -> (Z/2)^rows has finite index: Z^n, with n
+              counted by the page's knapsack (free_count); neither the
+              basis nor the kernel lattice is built
       s >= 1  H is K / (2Z^n + incoming), with K = {x : d3 x = 0 mod 2};
               d3 lands in Z/2 groups and comes as F2 bitset columns,
               incoming ones too, since 2Z^n is already a relation; zero
@@ -110,9 +113,11 @@ def homology_at(page, d, s):
               at s = 3 they come from the free monomials that can reach
               h1^3 (`_free_incoming`), not from every free column
     """
+    if s == 0:
+        return FPAbelianGroup(page.free_count(d))
     m = len(page.basis(d, s))
-    if s == 0 or m == 0:
-        return FPAbelianGroup(m)
+    if m == 0:
+        return FPAbelianGroup(0)
     d_out = page.d3_matrix(d, s)
     relations = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
     if s >= 3:
@@ -139,7 +144,7 @@ def _free_incoming(page, d):
     skipped where it squares a capped g).  Every other free monomial
     keeps a torsion killer in each Leibniz term, and since each d3
     target is h1^3 times uncapped survivors (BigradedPage checks it),
-    no rewrite removes that killer and normalize drops the term.
+    no rewrite removes that killer, so the term is zero.
     """
     degree, capped = page._degree, page.spec.rewrite_rules
     sources = {}
@@ -150,8 +155,7 @@ def _free_incoming(page, d):
                 if not (g in capped and g in exps):
                     exps[g] = exps.get(g, 0) + 1
                     sources[page.key(exps)] = None
-    index = {m: i for i, m in enumerate(page.basis(d, 3))}
-    return [sum(1 << index[k] for k in page.d3_monomial(key)) for key in sources]
+    return page.d3_columns(sources, d + 1, 0)
 
 
 # -- page description ---------------------------------------------------
@@ -201,6 +205,7 @@ class BigradedPage:
                     raise ValueError("d3 %s has a term %r, not h1^3 times "
                                      "uncapped survivors" % (name, exps))
         self._order = {g.name: i for i, g in enumerate(spec.generators)}
+        self._free_counts = ()
         self._basis_cache = {}
         self._matrix_cache = {}
         self._enum_memo = {}
@@ -265,91 +270,72 @@ class BigradedPage:
         self._basis_cache[ck] = mons
         return mons
 
-    # ---- algebra ----
+    def free_count(self, d):
+        """len(basis(d, 0)), counted without enumerating it: one knapsack
+        over the free generators' degrees, capped ones used at most once,
+        built once per page through max_degree (rebuilt past it)."""
+        if d < 0:
+            return 0
+        if d >= len(self._free_counts):
+            ways = [1] + [0] * max(d, self.max_degree)
+            for name in self.free_names:
+                w = self._degree[name]
+                if name in self.spec.rewrite_rules:
+                    span = range(len(ways) - 1, w - 1, -1)
+                else:
+                    span = range(w, len(ways))
+                for n in span:
+                    ways[n] += ways[n - w]
+            self._free_counts = ways
+        return self._free_counts[d]
 
-    def normalize(self, terms):
-        """Canonical page element from (coeff, {name: exp}) terms.
+    # ---- the differential over F2 ----
 
-        Applies square rewrites, kills h1-torsion products with the
-        annihilated generators, and reduces h1-sector coefficients
-        mod 2.
+    def d3_columns(self, keys, d, s):
+        """d3 of the monomial keys, each in basis(d, s)'s bidegree, over
+        F2: one int bitset column per key over basis(d - 1, s + 3), bit i
+        set where target monomial i has coefficient 1.
+
+        Read straight from the key.  By the signed Leibniz rule, g^e
+        gives g^(e-1) d3(g) with multiplicity e for even |g| and e mod 2
+        for odd |g|, up to sign, so mod 2 a generator g with a d3 rule
+        contributes exactly when e is odd: the key with one copy of g
+        fewer, times each odd term of its rule.  Each term is h1^3 times
+        uncapped survivors (checked at construction), so no rewrite
+        applies; a product still holding a torsion killer is zero, and
+        the rest XOR into the column.
         """
-        acc = {}
-        stack = [(c, dict(m)) for c, m in terms]
-        while stack:
-            c, m = stack.pop()
-            if not c:
-                continue
-            over = None
-            for name, e in m.items():
-                if e >= 2 and name in self.spec.rewrite_rules:
-                    over = name
-                    break
-            if over is not None:
-                rule = self.spec.rewrite_rules[over]
-                if rule is None:
-                    raise UnsupportedDegree(
-                        "square of %s exceeds the generator table" % over)
-                base = dict(m)
-                base[over] -= 2
-                if base[over] == 0:
-                    del base[over]
-                for rc, rm in rule:
-                    nm = dict(base)
-                    for n2, e2 in rm.items():
-                        nm[n2] = nm.get(n2, 0) + e2
-                    stack.append((c * rc, nm))
-                continue
-            torsion = m.get("h1")
-            if torsion:
-                if any(m.get(k) for k in self.spec.torsion_killers):
-                    continue
-                c %= 2
-                if not c:
-                    continue
-            key = self.key(m)
-            acc[key] = acc.get(key, 0) + c
-            if torsion:
-                acc[key] %= 2
-            if acc[key] == 0:
-                del acc[key]
-        return acc
-
-    def d3_monomial(self, key):
-        """Signed Leibniz extension of the generator rule to a monomial."""
-        out = []
-        prefix_degree = 0
-        for name, e in key:
-            w = self._degree[name]
-            rule = self.spec.d3.get(name)
-            if rule:
-                # sum of (-1)^(j w) over which copy j < e is differentiated
-                inner = e if w % 2 == 0 else e % 2
-                sign = (-1) ** prefix_degree
-                rest = dict(key)
-                rest[name] = e - 1
-                for rc, rm in rule:
-                    m = {k: v for k, v in rest.items() if v}
-                    for n2, e2 in rm.items():
-                        m[n2] = m.get(n2, 0) + e2
-                    out.append((sign * inner * rc, m))
-            prefix_degree += w * e
-        return self.normalize(out)
-
-    # ---- differential matrices ----
+        index = {m: i for i, m in enumerate(self.basis(d - 1, s + 3))}
+        rules, killers = self.spec.d3, self.spec.torsion_killers
+        columns = []
+        for key in keys:
+            col = 0
+            for name, e in key:
+                if e % 2 and name in rules:
+                    rest = dict(key)
+                    if e > 1:
+                        rest[name] = e - 1
+                    else:
+                        del rest[name]
+                    if not killers.isdisjoint(rest):
+                        continue
+                    for c, term in rules[name]:
+                        if c % 2:
+                            exps = dict(rest)
+                            for n, t in term.items():
+                                exps[n] = exps.get(n, 0) + t
+                            col ^= 1 << index[self.key(exps)]
+            columns.append(col)
+        return columns
 
     def d3_matrix(self, d, s):
-        """d3 from basis(d, s) to basis(d-1, s+3) over F2: one int bitset
-        column per source monomial, bit i set where target monomial i has
-        coefficient 1.  Every target lies in filtration s + 3 >= 3, where
-        each group is Z/2 and normalize reduces mod 2, so this is all of
-        d3."""
+        """d3 from basis(d, s) to basis(d-1, s+3) over F2, as d3_columns.
+        Every target lies in filtration s + 3 >= 3, where each group is
+        Z/2, so this is all of d3."""
         ck = (d, s)
         if ck not in self._matrix_cache:
-            index = {m: i for i, m in enumerate(self.basis(d - 1, s + 3))}
             self._matrix_cache[ck] = tuple(
-                sum(1 << index[k] for k in self.d3_monomial(m))
-                for m in self.basis(d, s))
+                self.d3_columns(self.basis(d, s), d, s))
         return self._matrix_cache[ck]
 
 
@@ -444,8 +430,8 @@ def homotopy_groups(page, max_degree):
     H(n, s) is computed once per key (n - s, kind) and shared, kind being
     0 at s = 0, 2 at s = 1, 2, 3 at s = 3 and 4 at s >= 4.  That is
     exact: for s >= 1, basis(n, s) is h1^s times the survivor monomials
-    of degree k = n - s, and normalize reduces mod 2, so the sign (-1)^s
-    drops out and d3_matrix(n, s) is one matrix per k.  s = 1, 2 have
+    of degree k = n - s, and d3 is read mod 2, where the sign (-1)^s
+    drops out, so d3_matrix(n, s) is one matrix per k.  s = 1, 2 have
     nothing coming in, so they share one group; s = 3 takes it from the
     free sector (n + 1, 0), so its d3 o d3 check runs once per k, and
     every s >= 4 from the torsion sector of degree k + 4.  The groups are

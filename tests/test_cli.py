@@ -242,17 +242,22 @@ def test_value_error_subclasses_exit_2(run, monkeypatch):
     assert parsed["payload"]["error"] == "no formula in this dimension"
 
 
-def test_unexpected_exception_exits_2(run, monkeypatch):
+def test_unexpected_exception_exits_2(monkeypatch, capsys):
     def broken(page, max_degree):
         raise KeyError("B9")
     monkeypatch.setattr(spectral, "homotopy_groups", broken)
-    code, out = run(["homotopy", "--target", "tjf", "--format", "json"])
-    assert code == 2
+    assert main(["homotopy", "--target", "tjf", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
     parsed = json.loads(out)
     assert parsed["status"] == "error"
     assert parsed["payload"]["error"] == "KeyError: 'B9'"
-    code, out = run(["homotopy", "--target", "tjf"])
-    assert (code, out) == (2, "error: KeyError: 'B9'\n")
+    # a bug still shows its traceback on stderr
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("KeyError: 'B9'\n")
+    assert main(["homotopy", "--target", "tjf"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "error: KeyError: 'B9'\n"
+    assert "Traceback" in err
 
 
 def test_verify_all_json_keeps_error_text(run, monkeypatch):

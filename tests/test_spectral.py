@@ -13,8 +13,9 @@ from jfl.spectral import (DEVIATIONS, BigradedPage, NotAComplex,
                           free_kernel_lattice, group_to_json, homology_at,
                           homotopy_groups, msu_page, msu_sub_page,
                           preimage_lattice, surjectivity_check, tjf_page)
-from property_suites import (bareiss_determinant, d3_element, d3_squared_zero,
-                             multiply, signed_leibniz)
+from property_suites import (bareiss_determinant, d3_element, d3_monomial,
+                             d3_squared_zero, multiply, normalize,
+                             signed_leibniz)
 
 
 class TestHomologyAt:
@@ -89,20 +90,20 @@ class TestTjfPage:
         assert len(page.basis(8, 0)) == 2
 
     def test_normalize_square_rewrite(self, page):
-        out = page.normalize([(1, {"b4": 2})])
+        out = normalize(page, [(1, {"b4": 2})])
         assert out == {_key(b2=1, b3=2): 1, _key(b8=1): -4}
 
     def test_normalize_kills_torsion_products(self, page):
-        assert page.normalize([(1, {"b3": 1, "h1": 1})]) == {}
-        assert page.normalize([(1, {"b4": 1, "h1": 2})]) == {}
-        assert page.normalize([(3, {"b2": 1, "h1": 2})]) == {_key(b2=1, h1=2): 1}
+        assert normalize(page, [(1, {"b3": 1, "h1": 1})]) == {}
+        assert normalize(page, [(1, {"b4": 1, "h1": 2})]) == {}
+        assert normalize(page, [(3, {"b2": 1, "h1": 2})]) == {_key(b2=1, h1=2): 1}
 
     def test_d3_values(self, page):
-        assert page.d3_monomial(_key(b2=1)) == {_key(h1=3): 1}
-        assert page.d3_monomial(_key(b2=2)) == {}
-        assert page.d3_monomial(_key(b2=3)) == {_key(b2=2, h1=3): 1}
-        assert page.d3_monomial(_key(b2=1, b3=1)) == {}
-        assert page.d3_monomial(_key(b4=1)) == {}
+        assert d3_monomial(page, _key(b2=1)) == {_key(h1=3): 1}
+        assert d3_monomial(page, _key(b2=2)) == {}
+        assert d3_monomial(page, _key(b2=3)) == {_key(b2=2, h1=3): 1}
+        assert d3_monomial(page, _key(b2=1, b3=1)) == {}
+        assert d3_monomial(page, _key(b4=1)) == {}
         assert page.d3_matrix(4, 0) == (1,)
 
     def test_degree4_homology_is_doubled_line(self, page):
@@ -238,6 +239,17 @@ def test_free_homology_is_the_kernel_lattice_rank(page_of, max_degree):
 
 
 @pytest.mark.parametrize("page_of, max_degree",
+                         [(tjf_page, 128), (msu_page, 64)])
+def test_free_count_is_the_basis_size(page_of, max_degree, monkeypatch):
+    # the knapsack that homology_at reads at s = 0, against the basis
+    monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "128")
+    page = page_of(max_degree)
+    assert page.free_count(-1) == 0
+    for d in range(max_degree + 1):
+        assert page.free_count(d) == len(page.basis(d, 0)), d
+
+
+@pytest.mark.parametrize("page_of, max_degree",
                          [(tjf_page, 64), (msu_page, 40)])
 def test_torsion_homology_is_the_f2_count(page_of, max_degree):
     # for s >= 1, H(n, s) = (Z/2)^(c_k - r_k - [s >= 3] r_(k+4)), k = n - s:
@@ -253,19 +265,6 @@ def test_torsion_homology_is_the_f2_count(page_of, max_degree):
             k = n - s
             dim = size[k] - rank[k] - (rank[k + 4] if s >= 3 else 0)
             assert homology_at(page, n, s) == FPAbelianGroup(0, (2,) * dim), (n, s)
-
-
-@pytest.mark.parametrize("page_of", [tjf_page, msu_page])
-def test_d3_matrix_columns_are_all_of_d3(page_of):
-    # each column, read back as a page element, is d3 of its monomial:
-    # every target lies in a Z/2 group, so no coefficient other than 1
-    page = page_of(40)
-    for d in range(41):
-        for s in range(d + 1):
-            dst = page.basis(d - 1, s + 3)
-            for m, col in zip(page.basis(d, s), page.d3_matrix(d, s)):
-                element = {k: 1 for i, k in enumerate(dst) if col >> i & 1}
-                assert element == d3_element(page, {m: 1}), (d, s, m)
 
 
 def test_preimage_lattice_on_random_f2_columns():
@@ -292,12 +291,12 @@ def test_preimage_lattice_on_random_f2_columns():
         assert math.prod(pivots) == 2 ** spectral._f2_rank(d_out), d_out
 
 
-def _with_d3_on_b4(page_of):
+def _with_d3_on_b4(page_of, coeff=1):
     # the altered page of test_not_a_complex
     def build(max_degree):
         spec = page_of(max_degree).spec
         return BigradedPage(spec._replace(
-            d3=dict(spec.d3, b4=((1, {"h1": 3, "b2": 1}),))))
+            d3=dict(spec.d3, b4=((coeff, {"h1": 3, "b2": 1}),))))
     return build
 
 
@@ -328,6 +327,29 @@ def test_free_incoming_matches_the_dense_matrix(page_of, max_degree):
     for d in range(max_degree + 1):
         columns = page.d3_matrix(d + 1, 0)
         assert set(spectral._free_incoming(page, d)) - {0} == set(columns) - {0}, d
+
+
+@pytest.mark.parametrize("page_of, max_degree", [
+    (tjf_page, 128), (msu_page, 64), (msu_sub_page, 96),
+    (_with_d3_on_b4(tjf_page), 32), (_with_d3_on_b4(_b4_survives), 32),
+    (_with_d3_on_b4(_b4_survives, coeff=2), 32),
+], ids=["tjf_page", "msu_page", "msu_sub_page", "tjf, d3 b4",
+        "tjf, d3 b4 and b4 survives", "tjf, d3 b4 even and b4 survives"])
+def test_d3_matrix_columns_are_all_of_d3(page_of, max_degree, monkeypatch):
+    # each column, read straight from the key, read back as a page element
+    # is d3 of its monomial by the signed Leibniz rule over Z through the
+    # page's rewrites: every target lies in a Z/2 group, so no coefficient
+    # other than 1.  On the altered pages b4 has a d3 rule too; on the
+    # first of them b4 kills h1, and on the last the rule is 2 h1^3 b2,
+    # zero mod 2
+    monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "128")
+    page = page_of(max_degree)
+    for d in range(max_degree + 1):
+        for s in range(d + 1):
+            dst = page.basis(d - 1, s + 3)
+            for m, col in zip(page.basis(d, s), page.d3_matrix(d, s)):
+                element = {k: 1 for i, k in enumerate(dst) if col >> i & 1}
+                assert element == d3_element(page, {m: 1}), (d, s, m)
 
 
 @pytest.mark.parametrize("target", [{"h1": 2}, {"h1": 3, "b4": 1},
@@ -362,9 +384,9 @@ class TestMsuPage:
     def test_square_beyond_table_raises(self):
         page = msu_page(16)
         with pytest.raises(UnsupportedDegree):
-            page.normalize([(1, {"B6": 2})])
+            normalize(page, [(1, {"B6": 2})])
         # B4^2 is tabled and rewrites cleanly
-        out = page.normalize([(1, {"B4": 2})])
+        out = normalize(page, [(1, {"B4": 2})])
         assert out == {_key(B2=1, B3=2): 1, _key(C8=1): -4}
 
     def test_table_check(self):
@@ -461,7 +483,7 @@ def _bidegree_failure(sub, target, phi, d, s):
         return "free-sector determinant %d" % det
     if s and det % 2 == 0:
         return "torsion-sector map not bijective mod 2"
-    if any(d3_element(target, image) != phi(sub.d3_monomial(m))
+    if any(d3_element(target, image) != phi(d3_monomial(sub, m))
            for m, image in zip(src, images)):
         return "differential does not commute"
     return None
@@ -491,7 +513,7 @@ def _page_map(target, images):
             s = key[0][1] if key and key[0][0] == "h1" else 0
             terms.extend((c * c2, dict(k, h1=s))
                          for k, c2 in free_image(key[1:] if s else key).items())
-        return target.normalize(terms)
+        return normalize(target, terms)
 
     return phi
 
@@ -594,7 +616,7 @@ def _page_map_with_a_torsion_twist(target, images):
             s = dict(key).get("h1", 0)
             if s and tuple(p for p in key if p[0] != "h1") == _TWIST:
                 terms.append((c, {"h1": s, "b2": 5}))
-        return target.normalize(terms)
+        return normalize(target, terms)
 
     return twisted
 

@@ -64,6 +64,18 @@ def test_importing_the_cli_loads_no_computation():
     assert not modules & {"dataclasses", "fractions"}
 
 
+def test_importing_the_cli_loads_no_traceback():
+    # traceback is imported only where a command fails unexpectedly;
+    # measured against a bare interpreter, in case its start-up loads it
+    bare = subprocess.run(
+        [sys.executable, "-c", "import json, sys; "
+         "sys.stderr.write(json.dumps(sorted(sys.modules)))"],
+        env=ENV, stderr=subprocess.PIPE, text=True, timeout=120)
+    code, modules = _probe()
+    assert code == 0
+    assert "traceback" not in modules - set(json.loads(bare.stderr))
+
+
 @pytest.mark.parametrize("argv, exit_code, absent", [
     (("expand", "--gen", "b2", "--qmax", "5"), 0,
      ("spectral", "lattice", "ring", "genus")),
@@ -77,6 +89,10 @@ def test_importing_the_cli_loads_no_computation():
     (("genus", "--dim", "8", "--chern", "c2sq=1,c4=1"), 2,
      ("generators", "spectral")),
     (("verify-all",), 0, ()),
+    # over the guard: refused before any computation is imported
+    (("homotopy", "--target", "msu", "--max-degree", "200"), 2, JFL),
+    (("surjectivity", "--n-param", "1", "--max-degree", "200"), 2, JFL),
+    (("image", "--degree", "256"), 2, JFL),
 ])
 def test_each_command_loads_only_its_modules(argv, exit_code, absent):
     code, modules = _probe(*argv)
