@@ -10,6 +10,7 @@ Closed formulas are hard-coded through complex dimension 4, together
 with the Milnor-number bookkeeping used to pick minimal generators.
 """
 
+import operator
 from fractions import Fraction
 
 from .ring import JFElement, normal_form
@@ -58,8 +59,9 @@ class ChernData:
     numbers maps partitions (descending tuples summing to d) to the
     value of the corresponding Chern monomial on the fundamental class.
     Partitions containing a 1 must map to 0; a missing 1-free partition
-    is filled in with 0.  Values are immutable and, holding a dict,
-    unhashable.
+    is filled in with 0.  Every value must be an int (ValueError
+    otherwise: no value is rounded).  Values are immutable and, holding
+    a dict, unhashable.
     """
 
     __hash__ = None
@@ -76,7 +78,11 @@ class ChernData:
             if 1 in part and v != 0:
                 raise ValueError(
                     "partition %r involves c1, which vanishes stably" % (part,))
-            clean[part] = int(v)
+            try:
+                clean[part] = operator.index(v)
+            except TypeError:
+                raise ValueError("the Chern number at %r is %r, not an "
+                                 "integer" % (part, v)) from None
         for part in partitions_without_ones(d):
             clean.setdefault(part, 0)
         self.__dict__.update(complex_dim=d, numbers=clean)

@@ -191,7 +191,7 @@ def solve_column_combination(mat, targets):
 
 def determinant(mat):
     """Determinant of a square integer matrix by Euclidean elimination
-    over sparse rows.
+    over sparse rows; ValueError if a row's length is not the row count.
 
     Each row, held as {column: value}, is reduced against the pivot rows
     by leading column; where a pivot does not divide, the two rows trade
@@ -201,6 +201,8 @@ def determinant(mat):
     leading values times the sign of the slot-to-column permutation.
     """
     n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("row length mismatch")
     pivots = {}  # leading column -> (slot, row)
     for slot, dense in enumerate(mat):
         row = {j: v for j, v in enumerate(dense) if v}
@@ -331,6 +333,8 @@ class FPAbelianGroup:
     __slots__ = ("rank", "torsion")
 
     def __init__(self, rank, torsion=()):
+        if rank < 0:
+            raise ValueError("rank must be >= 0")
         torsion = tuple(torsion)
         for i in range(len(torsion) - 1):
             if torsion[i + 1] % torsion[i]:

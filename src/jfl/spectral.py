@@ -160,19 +160,19 @@ def _free_incoming(page, d):
 
 # -- page description ---------------------------------------------------
 
-# torsion_order 0 means free, 2 means two-torsion
-PageGenerator = namedtuple("PageGenerator", "name degree torsion_order",
-                           defaults=(0,))
+PageGenerator = namedtuple("PageGenerator", "name degree")
 
-PageSpec = namedtuple("PageSpec", "label generators rewrite_rules "
+PageSpec = namedtuple("PageSpec", "generators rewrite_rules "
                       "torsion_killers d3 max_degree")
 PageSpec.__doc__ = """Generator-and-relation description of a bigraded page.
 
-rewrite_rules maps a generator name g to the replacement of g^2 as
-a tuple of (coeff, {name: exp}) terms; such generators are capped
-at exponent 1 in every realized basis.  torsion_killers lists the
-generators with g*h1 = 0.  d3 maps generator names to their
-differential, again as (coeff, {name: exp}) terms.
+generators lists the free generators in generator order; h1 (degree
+1, 2h1 = 0) is the shape of every page, not an entry.  rewrite_rules
+maps a generator name g to the replacement of g^2 as a tuple of
+(coeff, {name: exp}) terms; such generators are capped at exponent 1
+in every realized basis.  torsion_killers lists the generators with
+g*h1 = 0.  d3 maps generator names to their differential, again as
+(coeff, {name: exp}) terms.
 """
 
 
@@ -191,11 +191,10 @@ class BigradedPage:
     def __init__(self, spec):
         self.spec = spec
         self.max_degree = spec.max_degree
-        self.free_names = tuple(g.name for g in spec.generators
-                                if g.torsion_order == 0)
+        self.free_names = tuple(g.name for g in spec.generators)
         self.survivor_names = tuple(n for n in self.free_names
                                     if n not in spec.torsion_killers)
-        self._degree = {g.name: g.degree for g in spec.generators}
+        self._degree = {"h1": 1, **{g.name: g.degree for g in spec.generators}}
         for name, rule in spec.d3.items():
             for _, exps in rule:
                 if exps.get("h1") != 3 or any(
@@ -204,7 +203,7 @@ class BigradedPage:
                         for n in exps):
                     raise ValueError("d3 %s has a term %r, not h1^3 times "
                                      "uncapped survivors" % (name, exps))
-        self._order = {g.name: i for i, g in enumerate(spec.generators)}
+        self._order = {n: i for i, n in enumerate(("h1",) + self.free_names)}
         self._free_counts = ()
         self._basis_cache = {}
         self._matrix_cache = {}
@@ -341,16 +340,13 @@ class BigradedPage:
 
 # -- the concrete pages --------------------------------------------------
 
-H1 = PageGenerator("h1", 1, torsion_order=2)
-
-
 def _square_rule(b2, b, c):
     # the squared relation: the even partner of b squares to b2 b^2 - 4 c
     return ((1, {b2: 1, b: 2}), (-4, {c: 1}))
 
 
-def _page(label, max_degree, b_family, c_family, rewrites):
-    """The one page builder: h1, then the B family, then the C family.
+def _page(max_degree, b_family, c_family, rewrites):
+    """The one page builder: the B family, then the C family, over h1.
 
     Families are iterables of (name, degree) and rewrites one of
     (name, rule) pairs, read only once the degree guard has passed.
@@ -361,8 +357,7 @@ def _page(label, max_degree, b_family, c_family, rewrites):
     bs = tuple(PageGenerator(name, deg) for name, deg in b_family)
     cs = tuple(PageGenerator(name, deg) for name, deg in c_family)
     spec = PageSpec(
-        label=label,
-        generators=(H1,) + bs + cs,
+        generators=bs + cs,
         rewrite_rules=dict(rewrites),
         torsion_killers=frozenset(g.name for g in bs[1:]),
         d3={g.name: ((1, {"h1": 3}),) for g in bs[:1]},
@@ -372,52 +367,51 @@ def _page(label, max_degree, b_family, c_family, rewrites):
 
 
 def tjf_page(max_degree):
-    return _page("tjf", max_degree, (("b2", 4), ("b3", 6), ("b4", 8)),
+    return _page(max_degree, (("b2", 4), ("b3", 6), ("b4", 8)),
                  (("b8", 16),), (("b4", _square_rule("b2", "b3", "b8")),))
 
 
-_SUB_PAGE = frozenset(("h1", "B2", "B3", "B4", "C8"))
+_SUB_PAGE = frozenset(("B2", "B3", "B4", "C8"))
 
 
 def msu_sub_page(max_degree):
     """The domain of the surjectivity check: msu_page(max_degree)
     restricted to h1, B2, B3, B4 and C8, with their rewrite rules,
     torsion killers and d3.  Below degree 16 the msu page has no C8 and
-    B4's rule is None, but neither acts there.  A kept rule or d3 term
-    that names a dropped generator raises ValueError, so the inclusion
-    is a map of pages."""
+    no rule for B4, whose square lies past the page.  A kept rule or d3
+    term that names a dropped generator raises ValueError, so the
+    inclusion is a map of pages."""
     spec = msu_page(max_degree).spec
     generators = tuple(g for g in spec.generators if g.name in _SUB_PAGE)
-    keep = {g.name for g in generators}
+    keep = {"h1", *(g.name for g in generators)}
 
     def restricted(rules):
         out = {name: rule for name, rule in rules.items() if name in keep}
         for name, rule in out.items():
-            dropped = {n for _, exps in rule or () for n in exps} - keep
+            dropped = {n for _, exps in rule for n in exps} - keep
             if dropped:
                 raise ValueError("%s names %s, which the sub-page drops"
                                  % (name, min(dropped)))
         return out
 
     return BigradedPage(spec._replace(
-        label="msu-sub", generators=generators,
+        generators=generators,
         rewrite_rules=restricted(spec.rewrite_rules),
         torsion_killers=spec.torsion_killers & keep,
         d3=restricted(spec.d3)))
 
 
 def msu_page(max_degree):
-    # B_{2n}^2 = B2 B_{2n-1}^2 - 4 C_{4n}; expandable while C_{4n} is
-    # tabled, capped either way (None marks a square beyond the table).
+    # B_{2n}^2 = B2 B_{2n-1}^2 - 4 C_{4n}, ruled while 8n <= max_degree:
+    # a larger square, and the cap its rule would set, lies past the page.
     # B2 is on every page: its d3 = h1^3 is what kills h1^3 in degree 3.
     return _page(
-        "msu", max_degree,
+        max_degree,
         (("B%d" % n2, 2 * n2) for n2 in range(2, max(max_degree, 4) // 2 + 1)),
         (("C%d" % (4 * n), 8 * n) for n in range(2, max_degree // 8 + 1)),
         (("B%d" % (2 * n),
-          _square_rule("B2", "B%d" % (2 * n - 1), "C%d" % (4 * n))
-          if 8 * n <= max_degree else None)
-         for n in range(2, max_degree // 4 + 1)))
+          _square_rule("B2", "B%d" % (2 * n - 1), "C%d" % (4 * n)))
+         for n in range(2, max_degree // 8 + 1)))
 
 
 def homotopy_groups(page, max_degree):

@@ -39,6 +39,14 @@ class TestChernData:
         with pytest.raises(ValueError):
             chern_data(2, c5=1)
 
+    @pytest.mark.parametrize("value", [24.9, 24.0, Fraction(24), "24", None])
+    def test_values_must_be_ints(self, value):
+        # nothing is truncated: c2 = 24.9 must not read as the K3's 24
+        with pytest.raises(ValueError, match="not an integer"):
+            chern_data(2, c2=value)
+        with pytest.raises(ValueError, match="not an integer"):
+            ChernData(4, {(2, 2): value})
+
     def test_parts_are_sorted(self):
         d = ChernData(4, {(2, 2): 7})
         assert d.numbers[(2, 2)] == 7

@@ -100,6 +100,14 @@ def test_determinant():
     assert determinant([[5]]) == 5
 
 
+@pytest.mark.parametrize("mat", [[[1, 2]], [[1, 2], [3]], [[1], [2]],
+                                 [[0, 0], [3]], [[]]])
+def test_determinant_refuses_non_square(mat):
+    # [[0, 0], [3]] would be singular from its first row alone
+    with pytest.raises(ValueError, match="row length mismatch"):
+        determinant(mat)
+
+
 def test_determinant_matches_bareiss():
     # no unit pivot, 0x0, 1x1 and singular shapes, then random matrices
     for mat in ([[2, 3], [3, 5]], [[4, 6], [6, 9]], [[0, 2], [3, 0]], [],
@@ -164,6 +172,12 @@ class TestFPAbelianGroup:
             FPAbelianGroup(0, (3, 2))
         with pytest.raises(ValueError):
             FPAbelianGroup(0, (1,))
+
+    def test_negative_rank_rejected(self):
+        with pytest.raises(ValueError, match="rank"):
+            FPAbelianGroup(-1)
+        with pytest.raises(ValueError, match="rank"):
+            FPAbelianGroup(-2, (2,))
 
     def test_is_immutable(self):
         # it hashes by value, so a group in a set must not change

@@ -118,7 +118,7 @@ class TestTjfPage:
 
 
 def test_sub_page_is_tjf_page_renamed():
-    # also below 16, where the msu page has no C8 and B4's rule is None
+    # also below 16, where the msu page has no C8 and no rule for B4
     rename = {"h1": "h1", "B2": "b2", "B3": "b3", "B4": "b4", "C8": "b8"}
 
     def renamed(mons):
@@ -126,7 +126,6 @@ def test_sub_page_is_tjf_page_renamed():
 
     for max_degree in (0, 5, 15, 16, 24, 32, 40):
         sub, tjf = msu_sub_page(max_degree), tjf_page(max_degree)
-        assert sub.spec.label == "msu-sub"
         for d in range(max_degree + 1):
             for s in range(d + 1):
                 assert renamed(sub.basis(d, s)) == tjf.basis(d, s), (d, s)
@@ -214,7 +213,7 @@ def _basis_oracle(page, d, s):
     else:
         exps = [dict(e, h1=s) for e in
                 _enumerate_oracle(page, page.survivor_names, d - s)]
-    names = [g.name for g in page.spec.generators]
+    names = ["h1"] + [g.name for g in page.spec.generators]
     # basis order: exponents descending, generator by generator
     exps.sort(key=lambda x: [-x.get(n, 0) for n in names])
     return tuple(tuple((n, x[n]) for n in names if x.get(n)) for x in exps)
@@ -378,13 +377,13 @@ class TestMsuPage:
     def test_generator_roster(self):
         page = msu_page(16)
         names = [g.name for g in page.spec.generators]
-        assert names == ["h1", "B2", "B3", "B4", "B5", "B6", "B7", "B8", "C8"]
+        assert names == ["B2", "B3", "B4", "B5", "B6", "B7", "B8", "C8"]
         assert len(page.basis(16, 0)) == 7
 
-    def test_square_beyond_table_raises(self):
+    def test_square_rules_only_within_the_page(self):
+        # B6^2 (degree 24) lies past the page: no rule, so B6 is uncapped
         page = msu_page(16)
-        with pytest.raises(UnsupportedDegree):
-            normalize(page, [(1, {"B6": 2})])
+        assert list(page.spec.rewrite_rules) == ["B4"]
         # B4^2 is tabled and rewrites cleanly
         out = normalize(page, [(1, {"B4": 2})])
         assert out == {_key(B2=1, B3=2): 1, _key(C8=1): -4}
@@ -397,9 +396,15 @@ class TestMsuPage:
         assert report["deviations_adopted"] == list(DEVIATIONS)
         assert all("deviations_adopted" not in r for r in report["rows"])
 
-    def test_homotopy_pinned_through_default_guard(self):
+    # every page size through 48, among them each 8n - 1, where B_2n's
+    # square lies one degree past the page and has no rule; and the
+    # default guard
+    @pytest.mark.parametrize("max_degree", [
+        *range(49), spectral.DEFAULT_MAX_DEGREE_GUARD])
+    def test_homotopy_pinned_through_default_guard(self, max_degree):
         # (n, rank, number of Z/2 summands)
-        _, rows, _ = compare_homotopy("msu", spectral.DEFAULT_MAX_DEGREE_GUARD)
+        _, rows, _ = compare_homotopy("msu", max_degree)
+        assert len(rows) == max_degree + 1
         assert all(set(r["torsion"]) <= {2} for r in rows)
         got = [[r["n"], r["rank"], len(r["torsion"])] for r in rows]
         # the classical closed form (Conner-Floyd 1966; Stong 1968, ch. X):
@@ -411,8 +416,9 @@ class TestMsuPage:
              _partition_count(n // 2) - _partition_count(n // 2 - 1),
              _partition_count(n // 8) if n % 8 in (1, 2) else 0]
             for n in range(len(rows))]
-        assert sum(g[1] for g in got) == 8349
-        assert sum(g[2] for g in got) == 90
+        if max_degree == spectral.DEFAULT_MAX_DEGREE_GUARD:
+            assert sum(g[1] for g in got) == 8349
+            assert sum(g[2] for g in got) == 90
 
     def test_below_the_first_generator(self):
         # B2 (degree 4) is on every page, so h1^3 dies in degree 3 too
