@@ -23,7 +23,7 @@ _EXPORTS = {
     "spectral": """PageSpec PageGenerator BigradedPage homology_at
         NotAComplex UnsupportedDegree tjf_page msu_page msu_sub_page
         homotopy_groups free_kernel_lattice surjectivity_check
-        check_msu_table check_tjf_groups DEVIATIONS""",
+        check_tjf_groups DEVIATIONS""",
     "genus": """ChernData chern_data product_chern_data milnor_m milnor_s
         euler_characteristic genus_deg4 genus_deg6 genus_deg8
         elliptic_genus generator_genus_table NonIntegralGenus

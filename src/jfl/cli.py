@@ -1,8 +1,9 @@
 """Command-line surface: every computation as a scriptable command.
 
-Each subcommand returns a result dict and its text.  The dict holds a
-status (ok, mismatch, error), a JSON-ready payload, and the list of
-adopted-assumption strings relevant to it.  Text output is
+Each subcommand returns (status, payload, deviations, text): a status
+(ok, mismatch, error), a JSON-ready payload, the list of
+adopted-assumption strings relevant to it, and its text; main alone
+builds the result dict from the first three.  Text output is
 deterministic; JSON output is the serialized dict and survives a
 parse/re-dump round trip byte for byte.  Exit code 0 means ok, 1
 mismatch, 2 error, also for an unexpected exception and for output that
@@ -33,7 +34,7 @@ def cmd_expand(args):
     text = render_text(s)
     payload = {"generator": args.gen, "qmax": qmax,
                "series": render_json_dict(s), "text": text}
-    return {"status": "ok", "payload": payload, "deviations": []}, text
+    return "ok", payload, [], text
 
 
 def cmd_verify(args):
@@ -48,8 +49,7 @@ def cmd_verify(args):
     lines = ["%s: %s" % (k, "ok" if v else "mismatch")
              for k, v in checks.items()]
     payload = {"which": args.which, "qmax": qmax, "checks": checks}
-    return ({"status": "ok" if ok else "mismatch", "payload": payload,
-             "deviations": []}, "\n".join(lines))
+    return "ok" if ok else "mismatch", payload, [], "\n".join(lines)
 
 
 def _parse_chern(text):
@@ -73,8 +73,7 @@ def cmd_genus(args):
         element = genus.elliptic_genus(data)
     except genus.NonIntegralGenus as exc:
         payload = {"error": str(exc), "value": str(exc.value)}
-        return ({"status": "error", "payload": payload, "deviations": []},
-                "error: %s" % exc)
+        return "error", payload, [], "error: %s" % exc
     chi = genus.euler_characteristic(data)
     text = ring.render_element_text(element)
     payload = {"dim": args.dim,
@@ -82,8 +81,7 @@ def cmd_genus(args):
                "element": ring.render_element_json(element),
                "text": text,
                "chi": chi}
-    return ({"status": "ok", "payload": payload, "deviations": []},
-            "%s\nchi = %d" % (text, chi))
+    return "ok", payload, [], "%s\nchi = %d" % (text, chi)
 
 
 def _group_str(group):
@@ -103,8 +101,8 @@ def cmd_homotopy(args):
                                            "ok" if row["match"] else "MISMATCH")
         lines.append(line)
     payload = {"target": args.target, "max_degree": max_degree, "rows": rows}
-    return ({"status": "ok" if ok else "mismatch", "payload": payload,
-             "deviations": list(spectral.DEVIATIONS)}, "\n".join(lines))
+    return ("ok" if ok else "mismatch", payload, list(spectral.DEVIATIONS),
+            "\n".join(lines))
 
 
 def cmd_surjectivity(args):
@@ -119,8 +117,7 @@ def cmd_surjectivity(args):
         text = ("mismatch at degree %d filtration %d: %s"
                 % (f["degree"], f["filtration"], f["reason"]))
     deviations = report.pop("deviations_adopted")
-    return ({"status": report["status"], "payload": report,
-             "deviations": deviations}, text)
+    return report["status"], report, deviations, text
 
 
 def cmd_image(args):
@@ -142,8 +139,7 @@ def cmd_image(args):
     if reps:
         lines.append("representatives: " + ", ".join(reps))
     lines.append("expected torsion rank %d: ok" % len(reps))
-    return ({"status": "ok", "payload": payload, "deviations": []},
-            "\n".join(lines))
+    return "ok", payload, [], "\n".join(lines)
 
 
 # -- the umbrella suite ---------------------------------------------------
@@ -183,9 +179,8 @@ def _modular_embeddings():
 
 def _bordism_table():
     from . import spectral
-    report = spectral.check_msu_table(16)
-    return (report["status"] == "ok"
-            and all(r["match"] for r in report["rows"]))
+    _, rows, ok = spectral.compare_homotopy("msu", 16)
+    return ok and all(r["match"] for r in rows)
 
 
 def _target_homotopy():
@@ -265,8 +260,8 @@ def cmd_verify_all(args):
              + (" (%s)" % c["error"] if "error" in c else "") for c in checks]
     lines.append("overall: %s" % ("ok" if ok else "mismatch"))
     payload = {"checks": checks, "overall": "ok" if ok else "mismatch"}
-    return ({"status": "ok" if ok else "mismatch", "payload": payload,
-             "deviations": list(DEVIATIONS)}, "\n".join(lines))
+    return ("ok" if ok else "mismatch", payload, list(DEVIATIONS),
+            "\n".join(lines))
 
 
 # -- argument parsing and dispatch ----------------------------------------
@@ -318,18 +313,18 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result, text = args.fn(args)
+        status, payload, deviations, text = args.fn(args)
     except Exception as exc:  # a bug is still an error, not a mismatch
         message = str(exc)
         if not isinstance(exc, ValueError):
             import traceback  # only here: it costs every request's start-up
             traceback.print_exc()
             message = "%s: %s" % (type(exc).__name__, message)
-        result = {"status": "error", "payload": {"error": message},
-                  "deviations": []}
+        status, payload, deviations = "error", {"error": message}, []
         text = "error: %s" % message
     if args.format == "json":
-        text = json.dumps(result, indent=2)
+        text = json.dumps({"status": status, "payload": payload,
+                           "deviations": deviations}, indent=2)
     try:
         print(text)
         sys.stdout.flush()
@@ -337,7 +332,7 @@ def main(argv=None):
         # point stdout at devnull, so that the flush at exit cannot fail too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    return {"ok": 0, "mismatch": 1}.get(result["status"], 2)
+    return {"ok": 0, "mismatch": 1}.get(status, 2)
 
 
 if __name__ == "__main__":

@@ -152,11 +152,15 @@ def snf_diagonal(mat):
 
 
 def kernel_basis(mat, ncols=None):
-    """Basis of {x : mat @ x == 0}, returned as a list of vectors."""
+    """Basis of {x : mat @ x == 0}, returned as a list of vectors;
+    ValueError if a row's length is not ncols (the first row's, if not
+    given)."""
     m = len(mat)
-    n = len(mat[0]) if m else ncols
+    n = len(mat[0]) if ncols is None and m else ncols
     if n is None:
         raise ValueError("empty matrix needs ncols")
+    if any(len(row) != n for row in mat):
+        raise ValueError("row length mismatch")
     if m == 0:
         return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     _, D, V = smith_normal_form(mat)
@@ -299,8 +303,11 @@ def hermite_normal_form(rows, ncols):
 
 
 def in_row_span(hnf_rows, vec):
-    """Does vec lie in the lattice spanned by an HNF basis?"""
+    """Does vec lie in the lattice spanned by an HNF basis?  ValueError
+    if a row's length is not the vector's."""
     v = list(vec)
+    if any(len(row) != len(v) for row in hnf_rows):
+        raise ValueError("row length mismatch")
     for row in hnf_rows:
         j = next(k for k, x in enumerate(row) if x)
         if v[j] % row[j]:
@@ -349,8 +356,12 @@ class FPAbelianGroup:
 
     @classmethod
     def from_presentation(cls, ngens, relation_rows):
-        """Quotient of Z^ngens by the span of the given relation rows."""
-        rows = [list(r) for r in relation_rows if any(r)]
+        """Quotient of Z^ngens by the span of the given relation rows;
+        ValueError if a row's length is not ngens."""
+        rows = [list(r) for r in relation_rows]
+        if any(len(r) != ngens for r in rows):
+            raise ValueError("row length mismatch")
+        rows = [r for r in rows if any(r)]
         if not rows:
             return cls(ngens)
         diag = [d for d in snf_diagonal(rows) if d]

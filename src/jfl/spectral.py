@@ -67,7 +67,7 @@ __all__ = [
     "homology_at",
     "tjf_page", "msu_page", "msu_sub_page",
     "homotopy_groups", "free_kernel_lattice",
-    "surjectivity_check", "compare_homotopy", "check_msu_table",
+    "surjectivity_check", "compare_homotopy",
     "check_tjf_groups", "expected_msu_group", "expected_tjf_group",
     "MSU_EXPECTED_TABLE", "group_to_json",
 ]
@@ -414,8 +414,9 @@ def msu_page(max_degree):
          for n in range(2, max_degree // 8 + 1)))
 
 
-def homotopy_groups(page, max_degree):
-    """Total degree n homotopy as the direct sum over filtrations.
+def homotopy_groups(page):
+    """Total degree n homotopy as the direct sum over filtrations, for
+    every n through the page's max_degree.
 
     The page collapses after the cubic differential and the verified
     range shows no extension problems beyond the 2-divisibility already
@@ -431,10 +432,8 @@ def homotopy_groups(page, max_degree):
     every s >= 4 from the torsion sector of degree k + 4.  The groups are
     immutable.
     """
-    if max_degree > page.max_degree:
-        raise UnsupportedDegree("page was built to degree %d" % page.max_degree)
     out, memo = {}, {}
-    for n in range(max_degree + 1):
+    for n in range(page.max_degree + 1):
         rank, torsion = 0, []
         for s in range(n + 1):
             key = (n - s, 0 if s == 0 else max(2, min(s, 4)))
@@ -505,7 +504,7 @@ def compare_homotopy(target, max_degree):
     """
     page_of, expected_of = _TARGETS[target]
     page = page_of(max_degree)
-    groups = homotopy_groups(page, max_degree)
+    groups = homotopy_groups(page)
     rows = []
     ok = True
     for n in range(max_degree + 1):
@@ -518,14 +517,6 @@ def compare_homotopy(target, max_degree):
             ok = ok and row["match"]
         rows.append(row)
     return page, rows, ok
-
-
-def check_msu_table(max_degree=16):
-    """Compare computed homotopy against the tabulated groups through 16."""
-    _, rows, ok = compare_homotopy("msu", max_degree)
-    return {"status": "ok" if ok else "mismatch",
-            "rows": rows,
-            "deviations_adopted": list(DEVIATIONS)}
 
 
 def check_tjf_groups(max_degree=24):
@@ -547,7 +538,7 @@ def check_tjf_groups(max_degree=24):
         lattice = free_kernel_lattice(page, d)
         expected_lattice = ring.image_basis(d)
         lattice_match = aligned and lattice == expected_lattice
-        coker = FPAbelianGroup.from_presentation(len(ring_basis), lattice)
+        coker = FPAbelianGroup.from_presentation(len(basis), lattice)
         coker_match = coker == ring.cokernel(d)
         ok = ok and lattice_match and coker_match
         image_rows.append({

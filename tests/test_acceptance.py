@@ -43,14 +43,14 @@ def test_criterion_3_modular_embeddings():
 
 
 def test_criterion_4_bordism_table():
-    rows = {r["n"]: r for r in spectral.check_msu_table(16)["rows"]}
+    rows = {r["n"]: r for r in spectral.compare_homotopy("msu", 16)[1]}
     pins = (rows[16]["rank"] == 7 and rows[16]["torsion"] == []
             and rows[9]["rank"] == 0 and rows[9]["torsion"] == [2])
     assert _criterion(4, budget_s=30.0, extra=pins)
 
 
 def test_criterion_5_target_homotopy_groups():
-    groups = spectral.homotopy_groups(spectral.tjf_page(24), 24)
+    groups = spectral.homotopy_groups(spectral.tjf_page(24))
     pinned = {
         0: FPAbelianGroup(1),
         1: FPAbelianGroup(0, (2,)),

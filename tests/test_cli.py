@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from jfl import cli, genus, ring, spectral
+from jfl import cli, generators, genus, ring, spectral
 from jfl.cli import main
+from jfl.lattice import FPAbelianGroup
 from jfl.spectral import DEVIATIONS
 
 
@@ -243,7 +244,7 @@ def test_value_error_subclasses_exit_2(run, monkeypatch):
 
 
 def test_unexpected_exception_exits_2(monkeypatch, capsys):
-    def broken(page, max_degree):
+    def broken(page):
         raise KeyError("B9")
     monkeypatch.setattr(spectral, "homotopy_groups", broken)
     assert main(["homotopy", "--target", "tjf", "--format", "json"]) == 2
@@ -261,9 +262,11 @@ def test_unexpected_exception_exits_2(monkeypatch, capsys):
 
 
 def test_verify_all_json_keeps_error_text(run, monkeypatch):
-    def broken(max_degree=16):
+    # only check 4 builds the msu page through the target table
+    def broken(max_degree):
         raise RuntimeError("table went missing")
-    monkeypatch.setattr(spectral, "check_msu_table", broken)
+    monkeypatch.setitem(spectral._TARGETS, "msu",
+                        (broken, spectral.expected_msu_group))
     code, out = run(["verify-all", "--format", "json"])
     assert code == 1
     parsed = json.loads(out)
@@ -315,3 +318,63 @@ def test_unwritable_stdout_exits_2(monkeypatch, capsys):
         # into the broken pipe
         assert os.path.samestat(os.fstat(gone.fileno()), os.stat(os.devnull))
     assert capsys.readouterr().err == ""
+
+
+def _crooked_images(n_param):
+    return {"B2": ring.B2, "B3": ring.B3,
+            "B4": ring.B4.scale(-2), "C8": -ring.B8}
+
+
+def _key_error(*args):
+    raise KeyError("B9")
+
+
+# (argv, patch, exit code, deviations): every command once ok, each with
+# a mismatch where it can report one, the non-integral genus error and
+# an unexpected exception
+ENVELOPES = {
+    "expand": (["expand", "--gen", "b3", "--qmax", "2"], None, 0, []),
+    "verify": (["verify", "--qmax", "2"], None, 0, []),
+    "verify mismatch": (
+        ["verify", "--which", "relation", "--qmax", "2"],
+        lambda mp: mp.setattr(generators, "verify_relation",
+                              lambda qmax: False), 1, []),
+    "genus": (["genus", "--dim", "4", "--chern", "c2=24"], None, 0, []),
+    "genus non-integral": (["genus", "--dim", "4", "--chern", "c2=25"],
+                           None, 2, []),
+    "homotopy": (["homotopy", "--target", "tjf", "--max-degree", "4"],
+                 None, 0, DEVIATIONS),
+    "homotopy mismatch": (
+        ["homotopy", "--target", "tjf", "--max-degree", "4"],
+        lambda mp: mp.setitem(spectral._TARGETS, "tjf", (
+            spectral.tjf_page, lambda n: FPAbelianGroup(n))), 1, DEVIATIONS),
+    "surjectivity": (["surjectivity", "--n-param", "1", "--max-degree", "8"],
+                     None, 0, DEVIATIONS),
+    "surjectivity mismatch": (
+        ["surjectivity", "--n-param", "0", "--max-degree", "8"],
+        lambda mp: mp.setattr(spectral, "_substitution_images",
+                              _crooked_images), 1, DEVIATIONS),
+    "image": (["image", "--degree", "8"], None, 0, []),
+    "image unexpected exception": (
+        ["image", "--degree", "8"],
+        lambda mp: mp.setattr(ring, "cokernel", _key_error), 2, []),
+    "verify-all": (["verify-all"], None, 0, DEVIATIONS),
+    "verify-all mismatch": (
+        ["verify-all"],
+        lambda mp: mp.setattr(cli, "SUITE", (("never", lambda: False),)),
+        1, DEVIATIONS),
+}
+
+
+@pytest.mark.parametrize("case", ENVELOPES)
+def test_every_command_answers_in_one_envelope(case, run, monkeypatch):
+    argv, patch, exit_code, deviations = ENVELOPES[case]
+    if patch:
+        patch(monkeypatch)
+    code, out = run(argv + ["--format", "json"])
+    parsed = json.loads(out)
+    assert code == exit_code
+    assert list(parsed) == ["status", "payload", "deviations"]
+    assert parsed["status"] == ("ok", "mismatch", "error")[exit_code]
+    assert parsed["deviations"] == list(deviations)
+    assert json.dumps(parsed, indent=2) + "\n" == out

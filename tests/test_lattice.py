@@ -42,6 +42,18 @@ def test_kernel_basis_annihilates():
         assert mat_vec(mat, v) == [0, 0]
     # no rows: everything is in the kernel
     assert kernel_basis([], ncols=3) == identity_matrix(3)
+    assert kernel_basis([[1, 1, 0]], ncols=3) == kernel_basis([[1, 1, 0]])
+
+
+@pytest.mark.parametrize("mat, ncols", [
+    ([[1, 1]], 3),  # returned 2-vectors for a 3-column request
+    ([[1, 1, 0]], 2),
+    ([[1, 0], [1]], None),
+    ([[1], [1, 0]], None),
+])
+def test_kernel_basis_refuses_ragged_rows(mat, ncols):
+    with pytest.raises(ValueError, match="row length mismatch"):
+        kernel_basis(mat, ncols=ncols)
 
 
 def test_solve_column_combination():
@@ -128,6 +140,16 @@ def test_hermite_normal_form_is_canonical():
     assert not in_row_span(h, [1, 0])
 
 
+@pytest.mark.parametrize("hnf_rows, vec", [
+    ([[2]], [2, 7]),  # read as [2] in the span of [2]
+    ([[1, 0]], [1]),  # read as [1, 0]
+    ([[2, 0], [0, 4, 0]], [2, 4]),
+])
+def test_in_row_span_refuses_a_vector_of_another_length(hnf_rows, vec):
+    with pytest.raises(ValueError, match="row length mismatch"):
+        in_row_span(hnf_rows, vec)
+
+
 def test_invariant_factors():
     assert invariant_factors([4, 6]) == (2, 12)
     assert invariant_factors([2, 2]) == (2, 2)
@@ -152,6 +174,17 @@ class TestFPAbelianGroup:
         g = FPAbelianGroup.from_presentation(2, [[2, 0]])
         assert g == FPAbelianGroup(1, (2,))
         assert str(g) == "Z + Z/2"
+
+    @pytest.mark.parametrize("ngens, rows", [
+        (1, [[2, 0]]),  # read as Z/2
+        (2, [[2]]),  # read as Z + Z/2
+        (1, [[1, 0], [0, 1]]),
+        (2, [[0]]),  # a zero row of the wrong length too
+        (0, [[1]]),
+    ])
+    def test_presentation_row_length_checked(self, ngens, rows):
+        with pytest.raises(ValueError, match="row length mismatch"):
+            FPAbelianGroup.from_presentation(ngens, rows)
 
     def test_zero_relations(self):
         assert FPAbelianGroup.from_presentation(3, []) == FPAbelianGroup(3)

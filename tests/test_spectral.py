@@ -7,8 +7,7 @@ from jfl import ring, spectral
 from jfl.lattice import (FPAbelianGroup, hermite_normal_form, in_row_span,
                          invariant_factors, kernel_basis)
 from jfl.spectral import (DEVIATIONS, BigradedPage, NotAComplex,
-                          UnsupportedDegree, check_msu_table,
-                          check_tjf_groups, compare_homotopy,
+                          UnsupportedDegree, check_tjf_groups, compare_homotopy,
                           expected_tjf_group,
                           free_kernel_lattice, group_to_json, homology_at,
                           homotopy_groups, msu_page, msu_sub_page,
@@ -56,7 +55,7 @@ class TestHomologyAt:
         page = BigradedPage(spec._replace(d3=d3))
         with pytest.raises(NotAComplex,
                            match=r"d3 o d3 is nonzero from \(8, 0\)"):
-            homotopy_groups(page, 16)
+            homotopy_groups(page)
 
 
 def _key(**exps):
@@ -133,7 +132,7 @@ def test_sub_page_is_tjf_page_renamed():
 
 
 def test_homotopy_groups_pinned_list():
-    groups = homotopy_groups(tjf_page(10), 10)
+    groups = homotopy_groups(tjf_page(10))
     assert [str(groups[n]) for n in range(11)] == [
         "Z", "Z/2", "Z/2", "0", "Z", "0", "Z", "0",
         "Z^2", "Z/2", "Z + Z/2",
@@ -158,7 +157,7 @@ def _homotopy_groups_oracle(page, max_degree):
 def test_homotopy_groups_match_the_per_bidegree_oracle(page_of):
     guard = spectral.DEFAULT_MAX_DEGREE_GUARD
     page = page_of(guard)
-    assert homotopy_groups(page, guard) == _homotopy_groups_oracle(page, guard)
+    assert homotopy_groups(page) == _homotopy_groups_oracle(page, guard)
 
 
 def test_homotopy_groups_compute_each_sector_key_once(monkeypatch):
@@ -170,14 +169,15 @@ def test_homotopy_groups_compute_each_sector_key_once(monkeypatch):
         return homology_at(page, d, s)
 
     monkeypatch.setattr(spectral, "homology_at", counted)
-    homotopy_groups(msu_page(64), 64)
+    homotopy_groups(msu_page(64))
     assert len(calls) == len(set(calls)) == 65 + 64 + 62 + 61
 
 
-def test_homotopy_groups_range_checked():
-    page = tjf_page(8)
-    with pytest.raises(UnsupportedDegree):
-        homotopy_groups(page, 9)
+@pytest.mark.parametrize("page", [
+    tjf_page(0), tjf_page(8), msu_page(3), msu_page(17), msu_sub_page(12)])
+def test_homotopy_groups_cover_the_page(page):
+    # exactly the degrees 0 to the page's own max_degree, in order
+    assert list(homotopy_groups(page)) == list(range(page.max_degree + 1))
 
 
 def test_expected_tjf_group_pins():
@@ -389,12 +389,11 @@ class TestMsuPage:
         assert out == {_key(B2=1, B3=2): 1, _key(C8=1): -4}
 
     def test_table_check(self):
-        report = check_msu_table()
-        assert report["status"] == "ok"
-        assert len(report["rows"]) == 17
-        assert all(r["match"] for r in report["rows"])
-        assert report["deviations_adopted"] == list(DEVIATIONS)
-        assert all("deviations_adopted" not in r for r in report["rows"])
+        _, rows, ok = compare_homotopy("msu", 16)
+        assert ok
+        assert len(rows) == 17
+        assert all(r["match"] for r in rows)
+        assert all("deviations_adopted" not in r for r in rows)
 
     # every page size through 48, among them each 8n - 1, where B_2n's
     # square lies one degree past the page and has no rule; and the
@@ -423,7 +422,7 @@ class TestMsuPage:
     def test_below_the_first_generator(self):
         # B2 (degree 4) is on every page, so h1^3 dies in degree 3 too
         for n in range(4):
-            assert check_msu_table(n)["status"] == "ok"
+            assert compare_homotopy("msu", n)[2]
 
 
 def test_check_tjf_groups_report():
@@ -445,10 +444,9 @@ def test_group_to_json():
                                                         "torsion": [2, 4]}
 
 
-def _mismatches(page, expected_of, max_degree):
-    groups = homotopy_groups(page, max_degree)
-    return {n: (groups[n], expected_of(n)) for n in range(max_degree + 1)
-            if groups[n] != expected_of(n)}
+def _mismatches(page, expected_of):
+    return {n: (got, expected_of(n)) for n, got in homotopy_groups(page).items()
+            if got != expected_of(n)}
 
 
 @pytest.mark.parametrize("page_of, expected_of, even_killer, degrees", [
@@ -461,12 +459,12 @@ def test_deviations_are_what_the_tables_need(page_of, expected_of, even_killer,
     # b4*h1=0 and B2n*h1=0: with the even killers every row through 16
     # matches; without them degree 9 gets (Z/2)^2 against the table's Z/2
     page = page_of(16)
-    assert not _mismatches(page, expected_of, 16)
+    assert not _mismatches(page, expected_of)
     killers = page.spec.torsion_killers
     assert any(map(even_killer, killers))
     fewer = page.spec._replace(torsion_killers=frozenset(
         n for n in killers if not even_killer(n)))
-    mismatches = _mismatches(BigradedPage(fewer), expected_of, 16)
+    mismatches = _mismatches(BigradedPage(fewer), expected_of)
     assert set(mismatches) == degrees
     assert mismatches[9] == (FPAbelianGroup(0, (2, 2)), FPAbelianGroup(0, (2,)))
 

@@ -25,7 +25,7 @@ sys.exit(code)
 
 JFL = ("generators", "ring", "lattice", "spectral", "genus")
 
-# every name `import jfl` bound before its exports became lazy
+# every name `import jfl` exports, each loaded lazily
 EXPORTS = """
     series generators ring lattice spectral genus
     QYSeries SeriesError MixedParity BadExponent NonDivisible make_series
@@ -41,8 +41,7 @@ EXPORTS = """
     FPAbelianGroup
     PageSpec PageGenerator BigradedPage homology_at NotAComplex
     UnsupportedDegree tjf_page msu_page msu_sub_page homotopy_groups
-    free_kernel_lattice surjectivity_check check_msu_table
-    check_tjf_groups DEVIATIONS
+    free_kernel_lattice surjectivity_check check_tjf_groups DEVIATIONS
     ChernData chern_data product_chern_data milnor_m milnor_s
     euler_characteristic genus_deg4 genus_deg6 genus_deg8 elliptic_genus
     generator_genus_table NonIntegralGenus UnsupportedDim
