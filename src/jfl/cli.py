@@ -30,7 +30,7 @@ def cmd_expand(args):
     from . import generators
     qmax = _qmax(args)
     table = generators.generator_table(qmax)
-    s = table.series_of(args.gen)
+    s = getattr(table, args.gen)
     text = render_text(s)
     payload = {"generator": args.gen, "qmax": qmax,
                "series": render_json_dict(s), "text": text}
@@ -116,8 +116,7 @@ def cmd_surjectivity(args):
         f = report["first_failure"]
         text = ("mismatch at degree %d filtration %d: %s"
                 % (f["degree"], f["filtration"], f["reason"]))
-    deviations = report.pop("deviations_adopted")
-    return report["status"], report, deviations, text
+    return report["status"], report, list(spectral.DEVIATIONS), text
 
 
 def cmd_image(args):
@@ -191,9 +190,7 @@ def _target_homotopy():
     report = spectral.check_tjf_groups(24)
     return (report["status"] == "ok"
             and all(r["match"] for r in report["rows"])
-            and all(r["match"] for r in report["image_rows"])
-            and report["deviations_adopted"] == list(spectral.DEVIATIONS)
-            and len(spectral.DEVIATIONS) == 3)
+            and all(r["match"] for r in report["image_rows"]))
 
 
 def _image():

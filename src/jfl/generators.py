@@ -126,14 +126,15 @@ def _xi_square_parts(truncation):
 
 
 def gen_b2(truncation):
-    """The index-2 weight-0 generator, q^0 part y + 10 + y^{-1}:
-    A + B + C = 2E + C, folded."""
+    """The weight-0 generator of degree 4, of Jacobi index 1 in y, q^0
+    part y + 10 + y^{-1}: A + B + C = 2E + C, folded."""
     E, _, C = _xi_square_parts(truncation)
     return _fold_doubled_q(E.scale(2) + C)
 
 
 def gen_b4(truncation):
-    """The index-4 weight-0 generator, q^0 part y + 4 + y^{-1}.
+    """The weight-0 generator of degree 8, of Jacobi index 2 in y, q^0
+    part y + 4 + y^{-1}.
 
     Built from the elementary symmetric combination of the three
     normalized theta squares: with A, B, C as above this is
@@ -189,9 +190,6 @@ class GeneratorTable:
     def b8(self):
         return gen_b8(self.truncation)
 
-    def series_of(self, name):
-        return getattr(self, name)
-
     @cached_property
     def b2_b3_square(self):
         """b2 b3^2, in the relation and the delta identity."""
@@ -200,7 +198,7 @@ class GeneratorTable:
     def square(self, name):
         """The square of generator `name`, built once per table."""
         if name not in self._squares:
-            s = self.series_of(name)
+            s = getattr(self, name)
             self._squares[name] = s * s
         return self._squares[name]
 

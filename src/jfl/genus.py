@@ -6,8 +6,7 @@ the complex dimension; the SU condition forces every partition with a
 integer combination; a non-integral coefficient is an error, since it
 certifies the data is not realizable by a closed SU-manifold.
 
-Closed formulas are hard-coded through complex dimension 4, together
-with the Milnor-number bookkeeping used to pick minimal generators.
+Closed formulas are hard-coded through complex dimension 4.
 """
 
 import operator
@@ -18,10 +17,10 @@ from .ring import JFElement, normal_form
 __all__ = [
     "UnsupportedDim", "NonIntegralGenus", "ChernData",
     "partitions_without_ones", "chern_data", "product_chern_data",
-    "milnor_m", "milnor_s", "euler_characteristic",
+    "milnor_s", "euler_characteristic",
     "genus_deg4", "genus_deg6", "genus_deg8", "elliptic_genus",
     "generator_genus_table",
-    "chern_to_json", "chern_from_json",
+    "chern_to_json",
 ]
 
 
@@ -125,19 +124,6 @@ def product_chern_data(x, y):
     return ChernData(4, {(2, 2): 2 * a * b, (4,): a * b})
 
 
-def milnor_m(i):
-    """2, 3, 2, 5, 1, ... : p when i+1 is a power of the prime p, else 1."""
-    if i < 1:
-        raise ValueError("index must be positive")
-    n = i + 1
-    for p in range(2, n + 1):
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else 1
-    return 1
-
-
 def milnor_s(data):
     """Power-sum characteristic number, Newton identities at c1 = 0."""
     d = data.complex_dim
@@ -234,11 +220,3 @@ def chern_to_json(data):
             "numbers": {",".join(str(p) for p in part): v
                         for part, v in sorted(data.numbers.items(),
                                               reverse=True)}}
-
-
-def chern_from_json(obj):
-    numbers = {}
-    for key, v in obj["numbers"].items():
-        part = tuple(int(p) for p in key.split(","))
-        numbers[part] = v
-    return ChernData(obj["dim"], numbers)

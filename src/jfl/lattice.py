@@ -162,7 +162,7 @@ def kernel_basis(mat, ncols=None):
     if any(len(row) != n for row in mat):
         raise ValueError("row length mismatch")
     if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+        return identity_matrix(n)
     _, D, V = smith_normal_form(mat)
     r = sum(1 for i in range(min(m, n)) if D[i][i])
     return [[V[i][j] for i in range(n)] for j in range(r, n)]
@@ -304,12 +304,14 @@ def hermite_normal_form(rows, ncols):
 
 def in_row_span(hnf_rows, vec):
     """Does vec lie in the lattice spanned by an HNF basis?  ValueError
-    if a row's length is not the vector's."""
+    if a row's length is not the vector's, or if a row it meets is zero."""
     v = list(vec)
     if any(len(row) != len(v) for row in hnf_rows):
         raise ValueError("row length mismatch")
     for row in hnf_rows:
-        j = next(k for k, x in enumerate(row) if x)
+        j = next((k for k, x in enumerate(row) if x), None)
+        if j is None:
+            raise ValueError("zero row in an HNF basis")
         if v[j] % row[j]:
             return False
         q = v[j] // row[j]

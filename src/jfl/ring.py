@@ -31,12 +31,6 @@ def monomial_degree(mono):
     return 4 * a + 6 * b + 8 * e + 16 * g
 
 
-def monomial_index(mono):
-    # index-subscript sum; always half the degree
-    a, b, e, g = mono
-    return 2 * a + 3 * b + 4 * e + 8 * g
-
-
 class JFElement:
     __slots__ = ("coeffs",)
 
@@ -148,18 +142,13 @@ def _accumulate_reduced(acc, mono, coeff):
 def normal_form(p):
     """Normalize a polynomial in b2, b3, b4, b8 (b4-exponents unrestricted).
 
-    Accepts a JFElement, a map monomial -> coeff, or an iterable of
-    (monomial, coeff) pairs, where a monomial is a 4-tuple of
-    nonnegative exponents (b2, b3, b4, b8).
+    Accepts a JFElement or a map monomial -> coeff, where a monomial is
+    a 4-tuple of nonnegative exponents (b2, b3, b4, b8).
     """
     if isinstance(p, JFElement):
         return p
-    if isinstance(p, dict):
-        pairs = p.items()
-    else:
-        pairs = p
     acc = {}
-    for mono, coeff in pairs:
+    for mono, coeff in p.items():
         a, b, e, g = mono
         if min(a, b, e, g) < 0:
             raise ValueError("negative exponent in %r" % (mono,))
@@ -205,19 +194,14 @@ def element_coords(x, d):
     return vec
 
 
-def element_from_coords(vec, d):
-    basis = degree_basis(d)
-    return JFElement({m: c for m, c in zip(basis, vec) if c})
-
-
 # -- evaluation to series ---------------------------------------------
 
 def eval_series(x, truncation):
     """Realize an element as a q-expansion.
 
-    Returns (series, index) where index is the common index-subscript
-    after padding.  For a homogeneous element no padding happens and
-    index = degree/2; mixed-degree input is lifted to the maximal index
+    Returns (series, index) where index is degree / 2, the index
+    subscript of b2, b3, b4, b8 being 2, 3, 4, 8.  A homogeneous element
+    needs no padding; mixed-degree input is lifted to the maximal index
     with the calibrated stabilizer powers.
     """
     from .generators import generator_table, stabilizer_power
@@ -225,7 +209,7 @@ def eval_series(x, truncation):
     t = generator_table(truncation)
     if x.is_zero():
         return QYSeries.zero(truncation), 0
-    indices = {m: monomial_index(m) for m in x.coeffs}
+    indices = {m: monomial_degree(m) // 2 for m in x.coeffs}
     top = max(indices.values())
     acc = QYSeries.zero(truncation)
     for m, c in x.items():
@@ -342,8 +326,3 @@ def render_element_text(x):
 def render_element_json(x):
     return [{"a": m[0], "b": m[1], "e": m[2], "g": m[3], "c": str(c)}
             for m, c in x.items()]
-
-
-def element_from_json(data):
-    return normal_form([((t["a"], t["b"], t["e"], t["g"]), int(t["c"]))
-                        for t in data])

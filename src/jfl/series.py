@@ -65,10 +65,6 @@ class QYSeries:
     def one(truncation):
         return QYSeries({(0, 0): 1}, truncation, 0)
 
-    @staticmethod
-    def monomial(coeff, n, r2, truncation):
-        return make_series([(n, r2, coeff)], truncation)
-
     # -- inspection --------------------------------------------------
 
     def is_zero(self):
@@ -508,11 +504,6 @@ def render_json_dict(f):
         "parity": f.parity,
         "terms": [{"q": n, "y2": r2, "c": str(c)} for n, r2, c in f.terms()],
     }
-
-
-def series_from_json_dict(obj):
-    entries = [(t["q"], t["y2"], int(t["c"])) for t in obj["terms"]]
-    return make_series(entries, obj["truncation"], parity=obj["parity"])
 
 
 # -- the degree guard, here because every command loads this module ----

@@ -150,6 +150,16 @@ def test_in_row_span_refuses_a_vector_of_another_length(hnf_rows, vec):
         in_row_span(hnf_rows, vec)
 
 
+def test_in_row_span_refuses_a_zero_row():
+    # a ValueError, not a StopIteration that would end a map silently
+    with pytest.raises(ValueError, match="zero row"):
+        in_row_span([[0, 0]], [1, 0])
+    with pytest.raises(ValueError, match="zero row"):
+        list(map(lambda v: in_row_span([[0, 0]], v), [[1, 0], [2, 0]]))
+    with pytest.raises(ValueError, match="zero row"):
+        in_row_span([[1, 0], [0, 0]], [3, 5])
+
+
 def test_invariant_factors():
     assert invariant_factors([4, 6]) == (2, 12)
     assert invariant_factors([2, 2]) == (2, 2)

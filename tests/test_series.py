@@ -2,7 +2,7 @@ import pytest
 
 from jfl.series import (BadExponent, MixedParity, NonDivisible, QYSeries,
                         SeriesError, exact_divide, make_series, render_json_dict,
-                        render_text, series_from_json_dict)
+                        render_text)
 from jfl import series
 from property_suites import (dict_exact_divide, exact_divide_round_trips,
                              packed_product_matches_dict,
@@ -28,12 +28,11 @@ def test_make_series_rejects_mixed_parity():
         make_series([(0, 0, 1), (0, 1, 1)], truncation=2)
 
 
-@pytest.mark.parametrize("terms", [[], [{"q": 0, "y2": 2, "c": "1"}]])
+@pytest.mark.parametrize("terms", [[], [(0, 2, 1)]])
 def test_declared_parity_must_be_0_or_1(terms):
-    obj = {"truncation": 3, "parity": 2, "terms": terms}
     with pytest.raises(SeriesError, match="parity must be 0 or 1, not 2"):
-        series_from_json_dict(obj)
-    assert series_from_json_dict(dict(obj, parity=0)).parity == 0
+        make_series(terms, 3, parity=2)
+    assert make_series(terms, 3, parity=0).parity == 0
 
 
 def test_make_series_exponent_validation():
@@ -189,11 +188,19 @@ def test_render_text_pins():
 
 
 def test_json_round_trip():
-    f = make_series([(0, -2, 1), (0, 2, 1), (1, 4, -7)], truncation=3)
-    obj = render_json_dict(f)
-    assert obj["truncation"] == 3
-    g = series_from_json_dict(obj)
-    assert g == f
+    # every term, sorted, with its coefficient as a string
+    f = make_series([(1, 4, -7), (0, 2, 1), (0, -2, 1)], truncation=3)
+    assert render_json_dict(f) == {
+        "truncation": 3, "parity": 0,
+        "terms": [{"q": 0, "y2": -2, "c": "1"}, {"q": 0, "y2": 2, "c": "1"},
+                  {"q": 1, "y2": 4, "c": "-7"}]}
+    big = make_series([(0, 1, -10 ** 30), (2, -3, 5)], truncation=4)
+    assert render_json_dict(big) == {
+        "truncation": 4, "parity": 1,
+        "terms": [{"q": 0, "y2": 1, "c": str(-10 ** 30)},
+                  {"q": 2, "y2": -3, "c": "5"}]}
+    assert render_json_dict(QYSeries.zero(2, 1)) == {
+        "truncation": 2, "parity": 1, "terms": []}
 
 
 def test_ring_axiom_suite():

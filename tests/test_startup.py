@@ -29,20 +29,20 @@ JFL = ("generators", "ring", "lattice", "spectral", "genus")
 EXPORTS = """
     series generators ring lattice spectral genus
     QYSeries SeriesError MixedParity BadExponent NonDivisible make_series
-    exact_divide render_text render_json_dict series_from_json_dict
+    exact_divide render_text render_json_dict
     generator_table gen_a gen_b2 gen_b3 gen_b4 gen_b8 theta_quotient
     stabilizer_power eisenstein_c4 eisenstein_c6 discriminant
     verify_relation verify_mf_embedding mf_embedding_report CALIBRATION
     JFElement Inhomogeneous normal_form degree_basis element_coords
-    element_from_coords eval_series in_image image_basis cokernel
-    cokernel_representatives render_element_text render_element_json
-    element_from_json ONE B2 B3 B4 B8 IMAGE_GENERATORS
+    eval_series in_image image_basis cokernel cokernel_representatives
+    render_element_text render_element_json ONE B2 B3 B4 B8
+    IMAGE_GENERATORS
     smith_normal_form hermite_normal_form kernel_basis determinant
     FPAbelianGroup
     PageSpec PageGenerator BigradedPage homology_at NotAComplex
     UnsupportedDegree tjf_page msu_page msu_sub_page homotopy_groups
     free_kernel_lattice surjectivity_check check_tjf_groups DEVIATIONS
-    ChernData chern_data product_chern_data milnor_m milnor_s
+    ChernData chern_data product_chern_data milnor_s
     euler_characteristic genus_deg4 genus_deg6 genus_deg8 elliptic_genus
     generator_genus_table NonIntegralGenus UnsupportedDim
     """.split()
