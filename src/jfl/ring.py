@@ -12,12 +12,12 @@ It is diagonal in the monomial basis, 2 at each b2^(2m+1) b8^n and 1
 elsewhere, and each degree certifies that diagonal by induction from
 the lower ones.  Membership tests and the cokernel, a Z/2 for each
 b2^(2m+1) b8^n, read off the diagonal.
+
+The series and lattice modules are imported by the functions that use
+them, so ring arithmetic and the certificate load neither.
 """
 
 from functools import lru_cache
-
-from .lattice import FPAbelianGroup, in_row_span
-from .series import QYSeries, render_signed_sum
 
 GENERATOR_NAMES = ("b2", "b3", "b4", "b8")
 
@@ -205,6 +205,7 @@ def eval_series(x, truncation):
     with the calibrated stabilizer powers.
     """
     from .generators import generator_table, stabilizer_power
+    from .series import QYSeries
     x = normal_form(x)
     t = generator_table(truncation)
     if x.is_zero():
@@ -288,6 +289,7 @@ def image_basis(d):
 
 def in_image(x):
     """Is the element in the subring generated by the seven generators?"""
+    from .lattice import in_row_span
     x = normal_form(x)
     if x.is_zero():
         return True
@@ -298,6 +300,7 @@ def in_image(x):
 def cokernel(d):
     """Z^basis(d) modulo the image lattice: a Z/2 for each 2 on the
     certified diagonal."""
+    from .lattice import FPAbelianGroup
     return FPAbelianGroup(0, (2,) * _image_lattice(d).count(2))
 
 
@@ -320,6 +323,7 @@ def _monomial_factors(mono):
 
 def render_element_text(x):
     """Canonical text form, monomials in ascending lexicographic order."""
+    from .series import render_signed_sum
     return render_signed_sum((_monomial_factors(m), c) for m, c in x.items())
 
 

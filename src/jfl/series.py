@@ -21,9 +21,11 @@ square multiplies each unordered layer pair once.  ``exact_divide``
 finds the quotient layer by layer; each residue is one packed
 convolution of the quotient layers found so far, with a width that
 doubles when their bound outgrows it.
+
+The degree guard on q-orders is in ``jfl.guard``, so a command that
+builds no series does not load this module.
 """
 
-import os
 from operator import mul
 
 
@@ -505,44 +507,3 @@ def render_json_dict(f):
         "terms": [{"q": n, "y2": r2, "c": str(c)} for n, r2, c in f.terms()],
     }
 
-
-# -- the degree guard, here because every command loads this module ----
-
-DEFAULT_MAX_DEGREE_GUARD = 64
-
-
-class UnsupportedDegree(ValueError):
-    """A degree bound exceeds the generator table or the global guard."""
-
-
-def _guard_setting():
-    """(guard, hint): the effective guard, and the hint an over-guard
-    error carries, which says so when JFL_MAX_DEGREE_GUARD was ignored."""
-    raw = os.environ.get("JFL_MAX_DEGREE_GUARD", "")
-    try:
-        value = int(raw) if raw else DEFAULT_MAX_DEGREE_GUARD
-    except ValueError:
-        value = -1
-    if value < 0:
-        return DEFAULT_MAX_DEGREE_GUARD, (
-            "JFL_MAX_DEGREE_GUARD=%r is not a nonnegative integer; "
-            "default used" % raw)
-    return value, "set JFL_MAX_DEGREE_GUARD to raise"
-
-
-def max_degree_guard():
-    """The effective guard: JFL_MAX_DEGREE_GUARD if it is a nonnegative
-    integer, else the default."""
-    return _guard_setting()[0]
-
-
-def check_guard(value, what="degree bound"):
-    """value itself if 0 <= value <= the guard, else UnsupportedDegree
-    naming the bound as `what`."""
-    if value < 0:
-        raise UnsupportedDegree("%s %d is negative" % (what, value))
-    cap, hint = _guard_setting()
-    if value > cap:
-        raise UnsupportedDegree(
-            "%s %d exceeds guard %d (%s)" % (what, value, cap, hint))
-    return value

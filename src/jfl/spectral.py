@@ -22,8 +22,9 @@ shapes: Z^n at filtration 0 and (Z/2)^n above it.
            the basis nor the kernel lattice is built
   s >= 1   the kernel of d3 mod 2 as a lattice over 2Z^n, modulo 2Z^n
            and the incoming columns, zero and repeated ones dropped;
-           one Smith form per bidegree rewrites all relations in kernel
-           coordinates
+           the kernel lattice, with 2Z^n in its coordinates, is built
+           once per d3 matrix and kept on the page, and one Smith form
+           per bidegree presents the group
 homotopy_groups computes H(n, s) once per n - s and sector kind (free,
 nothing coming in, fed by the free sector, fed by torsion), which fixes
 the basis, the d3 columns and the incoming columns of every s >= 1.
@@ -56,8 +57,8 @@ from collections import namedtuple
 from .lattice import (FPAbelianGroup, determinant, group_to_json,
                       hermite_normal_form, identity_matrix, invariant_factors,
                       kernel_basis, solve_column_combination, transpose)
-from .series import (DEFAULT_MAX_DEGREE_GUARD, UnsupportedDegree,
-                     check_guard, max_degree_guard)
+from .guard import (DEFAULT_MAX_DEGREE_GUARD, UnsupportedDegree,
+                    check_guard, max_degree_guard)
 from . import ring
 
 __all__ = [
@@ -109,9 +110,12 @@ def homology_at(page, d, s):
               d3 lands in Z/2 groups and comes as F2 bitset columns,
               incoming ones too, since 2Z^n is already a relation; zero
               and repeated incoming columns are dropped, and all
-              relations are solved in K coordinates by one Smith form;
-              at s = 3 they come from the free monomials that can reach
-              h1^3 (`_free_incoming`), not from every free column
+              relations are solved in K coordinates; at s = 3 they come
+              from the free monomials that can reach h1^3
+              (`_free_incoming`), not from every free column
+    The page keeps K and the rows 2e_i in K coordinates per d3 matrix
+    (its column tuple), shared by the sector kinds of one k = d - s, so
+    a call solves only its incoming columns.
     """
     if s == 0:
         return FPAbelianGroup(page.free_count(d))
@@ -119,7 +123,12 @@ def homology_at(page, d, s):
     if m == 0:
         return FPAbelianGroup(0)
     d_out = page.d3_matrix(d, s)
-    relations = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
+    if d_out not in page._kernel_cache:
+        kbasis = preimage_lattice(d_out)
+        twos = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
+        page._kernel_cache[d_out] = kbasis, solve_column_combination(
+            transpose(kbasis), twos)
+    kbasis, rows = page._kernel_cache[d_out]
     if s >= 3:
         incoming = dict.fromkeys(_free_incoming(page, d) if s == 3
                                  else page.d3_matrix(d + 1, s - 3))
@@ -127,9 +136,10 @@ def homology_at(page, d, s):
         if any(_mod2_product(d_out, incoming)):
             raise NotAComplex("d3 o d3 is nonzero from (%d, %d)"
                               % (d + 1, s - 3))
-        relations += [[(col >> i) & 1 for i in range(m)] for col in incoming]
-    kbasis = preimage_lattice(d_out)
-    rows = solve_column_combination(transpose(kbasis), relations)
+        if incoming:
+            rows = rows + solve_column_combination(
+                transpose(kbasis),
+                [[(col >> i) & 1 for i in range(m)] for col in incoming])
     if any(y is None for y in rows):
         raise NotAComplex("image vector falls outside the kernel lattice")
     return FPAbelianGroup.from_presentation(len(kbasis), rows)
@@ -207,6 +217,7 @@ class BigradedPage:
         self._free_counts = ()
         self._basis_cache = {}
         self._matrix_cache = {}
+        self._kernel_cache = {}  # d3 columns -> (K, 2e_i in K), homology_at
         self._enum_memo = {}
 
     # ---- monomials ----
@@ -629,6 +640,9 @@ def _f2_rank(vectors):
     return len(pivots)
 
 
+_CHECKED_PAGES = []  # the (sub, target) pages of the last surjectivity_check
+
+
 def surjectivity_check(n_param, max_degree):
     """Verify phi_N maps msu_sub_page, the msu page restricted to h1, B2,
     B3, B4 and C8, isomorphically per bidegree onto the tjf page.
@@ -645,8 +659,13 @@ def surjectivity_check(n_param, max_degree):
     checked once, at (k + 1, 1), and the verdict is reused.  The report
     names the first failing bidegree of the walk over (d, s), if any.
     """
-    sub = msu_sub_page(max_degree)
-    target = tjf_page(max_degree)
+    sub, target = msu_sub_page(max_degree), tjf_page(max_degree)
+    # a page is a function of its spec, so the last check's pages, whose
+    # bases and d3 matrices are built, serve while the specs are equal:
+    # the four N of verify-all enumerate each page once
+    if [p.spec for p in _CHECKED_PAGES] != [sub.spec, target.spec]:
+        _CHECKED_PAGES[:] = sub, target
+    sub, target = _CHECKED_PAGES
     image = _ring_images(_substitution_images(n_param))
     # a rewrite rule first acts in twice its generator's degree, unseen by
     # the normal-form bases; there phi(g)^2 must equal phi of the rule

@@ -1,6 +1,6 @@
 """Acceptance gate: one test and one printed PASS/FAIL line per criterion.
 
-Criteria 1-8 run the entries of `jfl.cli.SUITE`, the registry that
+Criteria 1-8 run the entries of `jfl.suite.SUITE`, the registry that
 `jfl verify-all` runs too; the tests here add hand-written pins and the
 wall-clock budgets.  Every check is exact integer equality.  Run with -s
 (or read captured output on failure) to see the scoreboard lines.
@@ -9,8 +9,8 @@ wall-clock budgets.  Every check is exact integer equality.  Run with -s
 import time
 
 from jfl import spectral
-from jfl.cli import SUITE
 from jfl.lattice import FPAbelianGroup
+from jfl.suite import SUITE
 from property_suites import ALL_SUITES
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from jfl import cli, generators, genus, ring, spectral
+from jfl import generators, genus, ring, spectral, suite
 from jfl.cli import main
 from jfl.lattice import FPAbelianGroup
 from jfl.spectral import DEVIATIONS
@@ -271,7 +271,7 @@ def test_verify_all_json_keeps_error_text(run, monkeypatch):
     assert code == 1
     parsed = json.loads(out)
     check = parsed["payload"]["checks"][3]
-    assert check == {"name": cli.SUITE[3][0], "status": "error",
+    assert check == {"name": suite.SUITE[3][0], "status": "error",
                      "error": "table went missing"}
     assert [c["status"] for c in parsed["payload"]["checks"]].count("ok") == 7
 
@@ -284,7 +284,7 @@ def test_verify_all_scoreboard(run):
     assert all(line.endswith(": ok") for line in lines[:-1])
     assert lines[-1] == "overall: ok"
     names = [line.rsplit(":", 1)[0] for line in lines[:-1]]
-    assert names == [name for name, _ in cli.SUITE] == [
+    assert names == [name for name, _ in suite.SUITE] == [
         "series relation through q^8",
         "generator anchors",
         "modular embeddings through q^8",
@@ -361,7 +361,7 @@ ENVELOPES = {
     "verify-all": (["verify-all"], None, 0, DEVIATIONS),
     "verify-all mismatch": (
         ["verify-all"],
-        lambda mp: mp.setattr(cli, "SUITE", (("never", lambda: False),)),
+        lambda mp: mp.setattr(suite, "SUITE", (("never", lambda: False),)),
         1, DEVIATIONS),
 }
 

@@ -5,7 +5,8 @@ import pytest
 
 from jfl import ring, spectral
 from jfl.lattice import (FPAbelianGroup, hermite_normal_form, in_row_span,
-                         invariant_factors, kernel_basis)
+                         invariant_factors, kernel_basis,
+                         solve_column_combination, transpose)
 from jfl.spectral import (BigradedPage, NotAComplex,
                           UnsupportedDegree, check_tjf_groups, compare_homotopy,
                           expected_tjf_group,
@@ -139,14 +140,40 @@ def test_homotopy_groups_pinned_list():
     ]
 
 
+def _oracle_homology_at(page, d, s):
+    """homology_at before the page kept its kernel lattices: K and the
+    rows 2e_i built afresh at every bidegree, and every relation solved
+    in K coordinates by one Smith form."""
+    if s == 0:
+        return FPAbelianGroup(page.free_count(d))
+    m = len(page.basis(d, s))
+    if m == 0:
+        return FPAbelianGroup(0)
+    d_out = page.d3_matrix(d, s)
+    relations = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
+    if s >= 3:
+        incoming = dict.fromkeys(spectral._free_incoming(page, d) if s == 3
+                                 else page.d3_matrix(d + 1, s - 3))
+        incoming.pop(0, None)
+        if any(spectral._mod2_product(d_out, incoming)):
+            raise NotAComplex("d3 o d3 is nonzero from (%d, %d)"
+                              % (d + 1, s - 3))
+        relations += [[(col >> i) & 1 for i in range(m)] for col in incoming]
+    kbasis = preimage_lattice(d_out)
+    rows = solve_column_combination(transpose(kbasis), relations)
+    if any(y is None for y in rows):
+        raise NotAComplex("image vector falls outside the kernel lattice")
+    return FPAbelianGroup.from_presentation(len(kbasis), rows)
+
+
 def _homotopy_groups_oracle(page, max_degree):
-    """homotopy_groups before it shared torsion sectors: homology_at
-    summed at every bidegree."""
+    """homotopy_groups before it shared torsion sectors and kernel
+    lattices: the oracle homology summed at every bidegree."""
     out = {}
     for n in range(max_degree + 1):
         rank, torsion = 0, []
         for s in range(n + 1):
-            h = homology_at(page, n, s)
+            h = _oracle_homology_at(page, n, s)
             rank += h.rank
             torsion.extend(h.torsion)
         out[n] = FPAbelianGroup(rank, invariant_factors(torsion))
@@ -171,6 +198,23 @@ def test_homotopy_groups_compute_each_sector_key_once(monkeypatch):
     monkeypatch.setattr(spectral, "homology_at", counted)
     homotopy_groups(msu_page(64))
     assert len(calls) == len(set(calls)) == 65 + 64 + 62 + 61
+
+
+def test_homotopy_groups_build_one_kernel_lattice_per_d3_matrix(monkeypatch):
+    # the sector kinds of one n - s, and repeated matrices, share K
+    calls = []
+
+    def counted(d_out):
+        calls.append(d_out)
+        return preimage_lattice(d_out)
+
+    monkeypatch.setattr(spectral, "preimage_lattice", counted)
+    page = msu_page(64)
+    homotopy_groups(page)
+    matrices = {page.d3_matrix(n, s) for n in range(65)
+                for s in range(1, n + 1) if page.basis(n, s)}
+    assert len(calls) == len(set(calls)) == len(matrices)
+    assert set(calls) == matrices
 
 
 @pytest.mark.parametrize("page", [
@@ -310,6 +354,33 @@ def _without_even_killers(page_of, even_killer):
 
 def _b4_survives(max_degree):
     return _without_even_killers(tjf_page, lambda n: n == "b4")(max_degree)
+
+
+def _homology_or_error(homology, page, d, s):
+    try:
+        return homology(page, d, s)
+    except NotAComplex as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("page_of, max_degree", [
+    (tjf_page, 64), (msu_page, 64), (msu_sub_page, 64),
+    (_with_d3_on_b4(tjf_page), 32), (_b4_survives, 32),
+    (_without_even_killers(msu_page, lambda n: int(n[1:]) % 2 == 0), 32),
+    (_with_d3_on_b4(_b4_survives), 32),
+    (_with_d3_on_b4(_b4_survives, coeff=2), 32),
+], ids=["tjf", "msu", "msu sub", "tjf, d3 b4", "tjf, b4 survives",
+        "msu, B2n survive", "tjf, d3 b4 and b4 survives",
+        "tjf, d3 b4 even and b4 survives"])
+def test_homology_at_matches_the_oracle(page_of, max_degree):
+    # every s >= 1 bidegree, in the order homotopy_groups meets them, so
+    # the kernel lattices kept on the page are reused across sectors; on
+    # a page that is no complex both raise the same NotAComplex
+    page, fresh = page_of(max_degree), page_of(max_degree)
+    for n in range(max_degree + 1):
+        for s in range(1, n + 1):
+            assert (_homology_or_error(homology_at, page, n, s)
+                    == _homology_or_error(_oracle_homology_at, fresh, n, s)), (n, s)
 
 
 @pytest.mark.parametrize("page_of, max_degree", [
@@ -718,6 +789,26 @@ class TestSurjectivity:
         report = surjectivity_check(1, spectral.DEFAULT_MAX_DEGREE_GUARD)
         assert report["status"] == "ok"
         assert report["bidegrees_checked"] == 576
+
+    def test_the_four_parameters_of_verify_all_share_their_pages(
+            self, monkeypatch):
+        # one sub-page and one target page are enumerated for N = -1..2,
+        # and the guard still refuses the degree once it is lowered
+        enumerated = set()
+        basis = BigradedPage.basis
+
+        def recorded(page, d, s):
+            enumerated.add(page)
+            return basis(page, d, s)
+
+        monkeypatch.setattr(BigradedPage, "basis", recorded)
+        for n in (-1, 0, 1, 2):
+            assert surjectivity_check(n, 32)["status"] == "ok"
+        assert sorted(page.free_names for page in enumerated) == [
+            msu_sub_page(32).free_names, tjf_page(32).free_names]
+        monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "16")
+        with pytest.raises(UnsupportedDegree):
+            surjectivity_check(0, 32)
 
     @pytest.mark.parametrize("max_degree", [16, 32, 64])
     def test_reports_match_the_per_monomial_oracle(self, max_degree):

@@ -23,7 +23,8 @@ sys.stderr.write("\\n" + json.dumps(sorted(sys.modules)))
 sys.exit(code)
 """
 
-JFL = ("generators", "ring", "lattice", "spectral", "genus")
+JFL = ("series", "generators", "ring", "lattice", "spectral", "genus",
+       "suite")
 
 # every name `import jfl` exports, each loaded lazily
 EXPORTS = """
@@ -57,8 +58,10 @@ def _probe(*argv):
 
 
 def test_importing_the_cli_loads_no_computation():
+    # the guard alone: no series, and not the verify-all suite
     code, modules = _probe()
     assert code == 0
+    assert "jfl.guard" in modules
     assert not modules & {"jfl." + m for m in JFL}
     assert not modules & {"dataclasses", "fractions"}
 
@@ -75,28 +78,44 @@ def test_importing_the_cli_loads_no_traceback():
     assert "traceback" not in modules - set(json.loads(bare.stderr))
 
 
+# the jfl modules a command loads when it answers; the pages and the
+# ring need no series, and the ring needs no lattice
+RUNS = {"expand": ("series", "generators"),
+        "verify": ("series", "generators"),
+        "homotopy": ("spectral", "lattice", "ring"),
+        "surjectivity": ("spectral", "lattice", "ring"),
+        "image": ("ring", "lattice"),
+        "genus": ("genus", "ring", "series"),
+        "verify-all": JFL}
+
+
 @pytest.mark.parametrize("argv, exit_code, absent", [
     (("expand", "--gen", "b2", "--qmax", "5"), 0,
-     ("spectral", "lattice", "ring", "genus")),
-    (("verify", "--qmax", "3"), 0, ("spectral", "lattice", "ring", "genus")),
+     ("spectral", "lattice", "ring", "genus", "suite")),
+    (("verify", "--qmax", "3"), 0,
+     ("spectral", "lattice", "ring", "genus", "suite")),
     (("homotopy", "--target", "tjf", "--max-degree", "8"), 0,
-     ("genus", "generators", "dataclasses")),
+     ("series", "genus", "generators", "suite", "dataclasses")),
     (("surjectivity", "--n-param", "1", "--max-degree", "8"), 0,
-     ("genus", "generators", "dataclasses")),
+     ("series", "genus", "generators", "suite", "dataclasses")),
     (("image", "--degree", "8"), 0,
-     ("genus", "generators", "dataclasses", "spectral")),
+     ("genus", "generators", "dataclasses", "spectral", "suite")),
+    # non-integral: refused before the answer is rendered
     (("genus", "--dim", "8", "--chern", "c2sq=1,c4=1"), 2,
-     ("generators", "spectral")),
+     ("lattice", "generators", "spectral", "suite")),
     (("verify-all",), 0, ()),
     # over the guard: refused before any computation is imported
     (("homotopy", "--target", "msu", "--max-degree", "200"), 2, JFL),
     (("surjectivity", "--n-param", "1", "--max-degree", "200"), 2, JFL),
     (("image", "--degree", "256"), 2, JFL),
+    (("genus", "--dim", "4", "--chern", "c2=24"), 0,
+     ("lattice", "generators", "spectral", "suite")),
 ])
 def test_each_command_loads_only_its_modules(argv, exit_code, absent):
     code, modules = _probe(*argv)
     assert code == exit_code
-    assert "jfl.series" in modules
+    for name in RUNS[argv[0]] if code == 0 else ():
+        assert "jfl." + name in modules
     for name in absent:
         assert name not in modules and "jfl." + name not in modules
 
