@@ -7,6 +7,9 @@ mat @ x.  The two workhorses are Smith normal form (for invariant
 factors, kernels and integer solving) and Hermite normal form (for
 lattice membership).  Both are written for the small dense matrices
 this package produces; only the determinant works on sparse rows.
+The Smith form is one loop of pivot steps, each ending on a pivot that
+divides everything left, so its diagonal is a divisibility chain as it
+is built and no pass repairs it afterwards.
 """
 
 from math import gcd
@@ -49,99 +52,66 @@ def smith_normal_form(mat):
     Returns (U, D, V) with U*mat*V == D, U and V unimodular, D diagonal
     with nonnegative entries satisfying d1 | d2 | ... .  The input is
     not modified.
+
+    Step t moves the smallest nonzero entry of the trailing block to
+    (t, t) and reduces its column and row by it; a nonzero remainder is
+    smaller than the pivot and becomes the next one.  Once the column
+    and row are clear, a block row with an entry the pivot does not
+    divide is added to the pivot row, and the step repeats.  The pivot
+    shrinks strictly, so the step ends, and when it does the pivot
+    divides the whole block; later steps only combine block entries, so
+    it divides every later pivot too.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
     A = [list(row) for row in mat]
     U = identity_matrix(m)
     V = identity_matrix(n)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row[dst] += c * row[src]
-        A[dst] = [x + c * y for x, y in zip(A[dst], A[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
-    def col_pair_op(j1, j2, p, q, r, s):
-        # (col j1, col j2) <- (p*col1 + q*col2, r*col1 + s*col2); det must be +-1
-        for row in A:
-            c1, c2 = row[j1], row[j2]
-            row[j1], row[j2] = p * c1 + q * c2, r * c1 + s * c2
-        for row in V:
-            c1, c2 = row[j1], row[j2]
-            row[j1], row[j2] = p * c1 + q * c2, r * c1 + s * c2
-
     t = 0
-    limit = min(m, n)
-    while t < limit:
-        # smallest nonzero entry in the trailing block is the next pivot
-        piv = None
-        best = None
+    while t < min(m, n):
+        # the first smallest entry in scan order: after a row is added
+        # to the pivot row, the pivot stays and that row leaves a remainder
+        best = 0
         for i in range(t, m):
+            row = A[i]
             for j in range(t, n):
-                v = A[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
-        if piv is None:
+                v = row[j]
+                if v and (not best or abs(v) < best):
+                    best, pi, pj = abs(v), i, j
+        if not best:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    add_row(t, i, -q)
-                    if A[i][t]:
-                        swap_rows(t, i)
-            if any(A[i][t] for i in range(t + 1, m)):
+        A[t], A[pi], U[t], U[pi] = A[pi], A[t], U[pi], U[t]
+        if pj != t:
+            for row in A[t:] + V:
+                row[t], row[pj] = row[pj], row[t]
+        prow, urow = A[t], U[t]
+        p = prow[t]
+        for i in range(t + 1, m):
+            q = A[i][t] // p
+            if q:
+                A[i] = [x - q * y for x, y in zip(A[i], prow)]
+                U[i] = [x - q * y for x, y in zip(U[i], urow)]
+        qs = [(j, prow[j] // p) for j in range(t + 1, n) if prow[j]]
+        if qs:
+            for row in A[t:] + V:
+                c = row[t]
+                if c:
+                    for j, q in qs:
+                        row[j] -= q * c
+        if (any(prow[j] for j, _ in qs)
+                or any(A[i][t] for i in range(t + 1, m))):
+            continue
+        if p not in (1, -1):  # a unit divides everything
+            i = next((i for i in range(t + 1, m)
+                      if any(x % p for x in A[i][t + 1:])), None)
+            if i is not None:
+                A[t] = [x + y for x, y in zip(prow, A[i])]
+                U[t] = [x + y for x, y in zip(urow, U[i])]
                 continue
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_pair_op(t, j, 1, 0, -q, 1)
-                    if A[t][j]:
-                        swap_cols(t, j)
-            if any(A[t][j] for j in range(t + 1, n)):
-                continue
-            if any(A[i][t] for i in range(t + 1, m)):
-                continue
-            break
-        if A[t][t] < 0:
-            negate_row(t)
+        if p < 0:
+            A[t] = [-x for x in prow]
+            U[t] = [-x for x in urow]
         t += 1
-    rank = t
-
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if b % a == 0:
-                continue
-            changed = True
-            g, x, y = xgcd(a, b)
-            add_row(i + 1, i, 1)
-            # 2x2 unimodular column mix turning [[a, b], [0, b]] into [[g, 0], [*, ab/g]]
-            col_pair_op(i, i + 1, x, y, -(b // g), a // g)
-            q = A[i + 1][i] // A[i][i]
-            add_row(i, i + 1, -q)
-            if A[i + 1][i + 1] < 0:
-                negate_row(i + 1)
     return U, A, V
 
 
@@ -324,16 +294,19 @@ def invariant_factors(values):
     """Rebuild a divisibility chain from an arbitrary multiset of orders > 1.
 
     Each order joins the chain from the top by Z/a + Z/b = Z/gcd + Z/lcm:
-    the lcm stays in place and the gcd, which divides it, moves down.
+    the lcm stays in place and the gcd, which divides it, moves down.  An
+    order that divides the bottom entry divides every entry, so it joins
+    at the bottom in one step.
     """
-    chain = []
+    chain = []  # top first
     for v in values:
-        for i in reversed(range(len(chain))):
-            g = gcd(chain[i], v)
-            chain[i], v = chain[i] // g * v, g
+        if chain and chain[-1] % v:
+            for i, c in enumerate(chain):
+                g = gcd(c, v)
+                chain[i], v = c // g * v, g
         if v > 1:
-            chain.insert(0, v)
-    return tuple(chain)
+            chain.append(v)
+    return tuple(reversed(chain))
 
 
 class FPAbelianGroup:
@@ -345,11 +318,11 @@ class FPAbelianGroup:
         if rank < 0:
             raise ValueError("rank must be >= 0")
         torsion = tuple(torsion)
+        if any(t < 2 for t in torsion):
+            raise ValueError("torsion entries must be >= 2")
         for i in range(len(torsion) - 1):
             if torsion[i + 1] % torsion[i]:
                 raise ValueError("torsion must form a divisibility chain")
-        if any(t < 2 for t in torsion):
-            raise ValueError("torsion entries must be >= 2")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", torsion)
 

@@ -59,7 +59,6 @@ from .lattice import (FPAbelianGroup, determinant, group_to_json,
                       kernel_basis, solve_column_combination, transpose)
 from .guard import (DEFAULT_MAX_DEGREE_GUARD, UnsupportedDegree,
                     check_guard, max_degree_guard)
-from . import ring
 
 __all__ = [
     "NotAComplex", "UnsupportedDegree", "DEVIATIONS",
@@ -186,10 +185,13 @@ g*h1 = 0.  d3 maps generator names to their differential, again as
 """
 
 
-def _page_key(mono):
-    """The tjf page key of the ring monomial b2^a b3^b b4^e b8^g, canonical
-    because ring.GENERATOR_NAMES are in tjf generator order."""
-    return tuple((n, e) for n, e in zip(ring.GENERATOR_NAMES, mono) if e)
+def _page_key():
+    """The map from a ring monomial b2^a b3^b b4^e b8^g to its tjf page
+    key, canonical because ring.GENERATOR_NAMES are in tjf generator
+    order; the ring is imported here, once per caller, not per term."""
+    from . import ring
+    names = ring.GENERATOR_NAMES
+    return lambda mono: tuple([(n, e) for n, e in zip(names, mono) if e])
 
 
 class BigradedPage:
@@ -488,7 +490,8 @@ MSU_EXPECTED_TABLE = {
 
 
 def expected_tjf_group(n):
-    free = len(ring.degree_basis(n))
+    from .ring import degree_basis
+    free = len(degree_basis(n))
     # h1^s b2^(2m) b8^g in degree s + k: k // 16 + 1 of them when 8 | k
     torsion = sum(k // 16 + 1 for k in (n - 1, n - 2) if k >= 0 and k % 8 == 0)
     return FPAbelianGroup(free, (2,) * torsion)
@@ -539,13 +542,15 @@ def check_tjf_groups(max_degree=24):
     and their SNF cokernels against the ring's certified `cokernel`.
     Discrepancies are reported, not raised.
     """
+    from . import ring
+    page_key = _page_key()
     page, rows, ok = compare_homotopy("tjf", max_degree)
 
     image_rows = []
     for d in range(0, max_degree + 1, 2):
         basis = page.basis(d, 0)
         ring_basis = ring.degree_basis(d)
-        aligned = basis == tuple(map(_page_key, ring_basis))
+        aligned = basis == tuple(map(page_key, ring_basis))
         lattice = free_kernel_lattice(page, d)
         expected_lattice = ring.image_basis(d)
         lattice_match = aligned and lattice == expected_lattice
@@ -570,6 +575,7 @@ def _substitution_images(n_param):
     """phi_N on the sub-page generators.  phi_N(C8) is solved from the
     page's relation B4^2 = B2 B3^2 - 4 C8, so phi_N respects it:
     phi_N(C8) = b8 + N b2^2 b4 - N^2 b2^4."""
+    from . import ring
     b2, b3 = ring.B2, ring.B3
     b4 = -ring.B4 + b2 * b2 * (2 * n_param)
     quarter = {}
@@ -584,7 +590,8 @@ def _ring_images(images):
     """phi_N of a free sub-page monomial key as a ring element: the
     product of the image of the key with one factor fewer and that
     factor's image, built once."""
-    free = {(): ring.ONE}
+    from .ring import ONE
+    free = {(): ONE}
 
     def image(key):
         if key not in free:
@@ -601,12 +608,13 @@ def _torsion_columns(sub, target, image, k):
     h1^s m goes to h1^s image(m), terms holding a target torsion killer
     dropped and the rest read mod 2; any other term outside
     target.basis(k + s, s) raises KeyError."""
+    page_key = _page_key()
     index = {m[1:]: i for i, m in enumerate(target.basis(k + 1, 1))}
     columns = []
     for m in sub.basis(k + 1, 1):
         col = 0
         for mono, c in image(m[1:]).coeffs.items():
-            key = _page_key(mono)
+            key = page_key(mono)
             if target.spec.torsion_killers.isdisjoint(n for n, _ in key):
                 col |= (c & 1) << index[key]
         columns.append(col)
@@ -667,6 +675,7 @@ def surjectivity_check(n_param, max_degree):
         _CHECKED_PAGES[:] = sub, target
     sub, target = _CHECKED_PAGES
     image = _ring_images(_substitution_images(n_param))
+    page_key = _page_key()
     # a rewrite rule first acts in twice its generator's degree, unseen by
     # the normal-form bases; there phi(g)^2 must equal phi of the rule
     broken, rules = {}, sub.spec.rewrite_rules
@@ -696,7 +705,7 @@ def surjectivity_check(n_param, max_degree):
             ints = [[0] * size for _ in range(n)]
             for col, m in zip(ints, sub.basis(d, 0)):
                 for mono, c in image(m).coeffs.items():
-                    col[index[_page_key(mono)]] = c
+                    col[index[page_key(mono)]] = c
             det = determinant(ints)  # of the transpose, which is the same
             if det not in (1, -1):
                 return True, "free-sector determinant %d" % det

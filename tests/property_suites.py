@@ -363,24 +363,60 @@ def mat_mul(a, b):
             for row in a]
 
 
+def snf_holds(mat):
+    """Assert the postconditions that fix the Smith form of mat uniquely
+    and return its diagonal: U*mat*V == D with det U and det V = +-1, D
+    diagonal and nonnegative, and d1 | d2 | ... ."""
+    m, n = len(mat), len(mat[0])
+    u, d, v = smith_normal_form(mat)
+    assert mat_mul(mat_mul(u, mat), v) == d
+    assert determinant(u) in (1, -1)
+    assert determinant(v) in (1, -1)
+    diag = [d[i][i] for i in range(min(m, n))]
+    assert all(d[i][j] == 0
+               for i in range(m) for j in range(n) if i != j)
+    assert all(x >= 0 for x in diag)
+    for i in range(len(diag) - 1):
+        if diag[i + 1]:
+            assert diag[i] and diag[i + 1] % diag[i] == 0
+    return diag
+
+
+# diagonal inputs whose invariant factors mix primes across entries
+SNF_CHAINS = (
+    ([[2, 0], [0, 3]], [1, 6]),
+    ([[4, 0], [0, 6]], [2, 12]),
+    ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], [1, 30, 30]),
+)
+
+
 def snf_postconditions(cases=1000, seed=20260821):
+    # three kinds in turn: small dense matrices with signed entries; the
+    # pages' kind, sparse with entries in {0, 1, 2} and up to 30x15 or
+    # 15x30; and small dense ones with some rows and columns zeroed
+    for mat, diag in SNF_CHAINS:
+        assert snf_holds(mat) == diag
     rng = random.Random(seed)
     done = 0
-    for _ in range(cases):
-        m = rng.randrange(1, 5)
-        n = rng.randrange(1, 5)
-        mat = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
-        u, d, v = smith_normal_form(mat)
-        assert mat_mul(mat_mul(u, mat), v) == d
-        assert determinant(u) in (1, -1)
-        assert determinant(v) in (1, -1)
-        diag = [d[i][i] for i in range(min(m, n))]
-        assert all(d[i][j] == 0
-                   for i in range(m) for j in range(n) if i != j)
-        assert all(x >= 0 for x in diag)
-        for i in range(len(diag) - 1):
-            if diag[i + 1]:
-                assert diag[i] and diag[i + 1] % diag[i] == 0
+    for k in range(cases):
+        if k % 3 == 1:
+            m, n = rng.randrange(1, 31), rng.randrange(1, 16)
+            if rng.random() < 0.5:
+                m, n = n, m
+            density = rng.random()
+            mat = [[rng.randrange(1, 3) if rng.random() < density else 0
+                    for _ in range(n)] for _ in range(m)]
+        else:
+            m, n = rng.randrange(1, 5), rng.randrange(1, 5)
+            mat = [[rng.randrange(-9, 10) for _ in range(n)]
+                   for _ in range(m)]
+            if k % 3 == 2:
+                for i in rng.sample(range(m), rng.randrange(m)):
+                    mat[i] = [0] * n
+                for j in rng.sample(range(n), rng.randrange(n)):
+                    for row in mat:
+                        row[j] = 0
+        snf_holds(mat)
         done += 1
     return done
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -160,6 +161,27 @@ def test_in_row_span_refuses_a_zero_row():
         in_row_span([[1, 0], [0, 0]], [3, 5])
 
 
+def _prime_power_chain(orders):
+    """The invariant factors of Z/o1 + Z/o2 + ... by prime powers: the
+    i-th largest factor takes the i-th largest power of each prime."""
+    powers = {}
+    for o in orders:
+        p = 2
+        while o > 1:
+            e = 0
+            while o % p == 0:
+                o //= p
+                e += 1
+            if e:
+                powers.setdefault(p, []).append(p ** e)
+            p += 1
+    chain = [1] * max(map(len, powers.values()), default=0)
+    for ps in powers.values():
+        for i, q in enumerate(sorted(ps, reverse=True)):
+            chain[i] *= q
+    return tuple(reversed(chain))
+
+
 def test_invariant_factors():
     assert invariant_factors([4, 6]) == (2, 12)
     assert invariant_factors([2, 2]) == (2, 2)
@@ -176,6 +198,22 @@ def test_invariant_factors():
                 for i, t in enumerate(orders)]
         assert (invariant_factors(orders)
                 == FPAbelianGroup.from_presentation(len(orders), rows).torsion)
+    # against the prime powers: wide orders, and many repeats of a few
+    # orders, as the pages' Z/2 summands are
+    for _ in range(500):
+        orders = [rng.randrange(2, 200) for _ in range(rng.randrange(12))]
+        assert invariant_factors(orders) == _prime_power_chain(orders)
+        orders = [rng.choice((2, 3, 4, 6, 12))
+                  for _ in range(rng.randrange(40))]
+        assert invariant_factors(orders) == _prime_power_chain(orders)
+
+
+def test_invariant_factors_is_linear_in_repeated_orders():
+    # each 2 divides the bottom of the chain, so it joins there at once
+    # rather than walking the whole chain
+    start = time.perf_counter()
+    assert invariant_factors([2] * 5000) == (2,) * 5000
+    assert time.perf_counter() - start < 0.1
 
 
 class TestFPAbelianGroup:
@@ -215,6 +253,9 @@ class TestFPAbelianGroup:
             FPAbelianGroup(0, (3, 2))
         with pytest.raises(ValueError):
             FPAbelianGroup(0, (1,))
+        # a zero entry is refused as an entry, before the chain divides by it
+        with pytest.raises(ValueError, match=">= 2"):
+            FPAbelianGroup(0, (0, 2))
 
     def test_negative_rank_rejected(self):
         with pytest.raises(ValueError, match="rank"):

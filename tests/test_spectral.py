@@ -574,7 +574,8 @@ def _page_map(target, images):
     images, and its one normalize serves every sector.  A free monomial's
     image is built once, from the one with one factor fewer; h1^s m goes
     to h1^s times the image of m."""
-    gens = {name: {spectral._page_key(m): c for m, c in x.coeffs.items()}
+    page_key = spectral._page_key()
+    gens = {name: {page_key(m): c for m, c in x.coeffs.items()}
             for name, x in images.items()}
     free = {(): {(): 1}}
 
