@@ -5,29 +5,14 @@ results are exact.  Matrices are row-major: ``mat[i][j]`` is row i,
 column j, and a matrix represents the map sending a column vector x to
 mat @ x.  The two workhorses are Smith normal form (for invariant
 factors, kernels and integer solving) and Hermite normal form (for
-lattice membership).  Both are written for the small dense matrices
-this package produces; only the determinant works on sparse rows.
-The Smith form is one loop of pivot steps, each ending on a pivot that
-divides everything left, so its diagonal is a divisibility chain as it
-is built and no pass repairs it afterwards.
+lattice membership), each one Euclid loop over small dense matrices
+with no repair pass: each Smith pivot divides everything left, so the
+diagonal is a divisibility chain as it is built, and each Hermite
+pivot is reduced into the rows above as its column is placed.  Only
+the determinant works on sparse rows.
 """
 
 from math import gcd
-
-
-def xgcd(a, b):
-    """Return (g, x, y) with g = gcd(a,b) >= 0 and g == a*x + b*y."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def identity_matrix(n):
@@ -50,8 +35,8 @@ def smith_normal_form(mat):
     """Diagonalize an integer matrix by unimodular transforms.
 
     Returns (U, D, V) with U*mat*V == D, U and V unimodular, D diagonal
-    with nonnegative entries satisfying d1 | d2 | ... .  The input is
-    not modified.
+    with nonnegative entries satisfying d1 | d2 | ... ; ValueError if
+    the rows differ in length.  The input is not modified.
 
     Step t moves the smallest nonzero entry of the trailing block to
     (t, t) and reduces its column and row by it; a nonzero remainder is
@@ -64,6 +49,8 @@ def smith_normal_form(mat):
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
+    if any(len(row) != n for row in mat):
+        raise ValueError("row length mismatch")
     A = [list(row) for row in mat]
     U = identity_matrix(m)
     V = identity_matrix(n)
@@ -140,11 +127,12 @@ def kernel_basis(mat, ncols=None):
 
 def solve_column_combination(mat, targets):
     """For each target, an integer x with mat @ x == target, or None if
-    no solution exists; one Smith form of mat serves every target."""
+    no solution exists; one Smith form of mat serves every target.
+    ValueError if a target's length is not the row count."""
     m = len(mat)
     n = len(mat[0]) if m else 0
-    if m == 0:
-        return [[] for _ in targets]
+    if any(len(t) != m for t in targets):
+        raise ValueError("target length mismatch")
     U, D, V = smith_normal_form(mat)
     diag = [D[i][i] if i < n else 0 for i in range(m)]
 
@@ -218,58 +206,45 @@ def determinant(mat):
 
 
 def hermite_normal_form(rows, ncols):
-    """Row-style HNF basis of the lattice spanned by the given row vectors.
+    """Row-style HNF basis of the lattice spanned by the given row vectors;
+    ValueError if a row's length is not ncols.
 
-    Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), and rows are ordered by pivot column.  The result is a
-    canonical basis of the row span, usable for membership tests.
+    Pivots are positive, entries above each pivot lie in [0, pivot), and
+    rows are ordered by pivot column.  At each column j the rows leading
+    there run Euclid until one is left, which, made positive, reduces the
+    rows above at j and is placed; a reduced row waits at its new leading
+    column.  The basis is canonical: two of one lattice share pivots, and
+    their rows' difference at a pivot is a lattice vector whose later
+    pivot entries lie in (-pivot, pivot), so it is zero.
     """
-    pivots = {}  # pivot column -> row
+    waiting = {}  # leading column -> rows not yet placed
 
-    def insert(vec):
-        v = list(vec)
-        j = 0
-        while j < ncols:
-            if v[j] == 0:
-                j += 1
-                continue
-            if j not in pivots:
-                if v[j] < 0:
-                    v = [-x for x in v]
-                pivots[j] = v
-                return
-            r = pivots[j]
-            p, a = r[j], v[j]
-            if a % p == 0:
-                q = a // p
-                v = [x - q * y for x, y in zip(v, r)]
-                j += 1
-                continue
-            g, x, y = xgcd(p, a)
-            new_r = [x * rr + y * vv for rr, vv in zip(r, v)]
-            new_v = [(p // g) * vv - (a // g) * rr for rr, vv in zip(r, v)]
-            pivots[j] = new_r
-            v = new_v
-            j += 1
+    def file(row, start):
+        j = next(filter(row.__getitem__, range(start, ncols)), None)
+        if j is not None:
+            waiting.setdefault(j, []).append(row)
 
     for row in rows:
         if len(row) != ncols:
             raise ValueError("row length mismatch")
-        insert(row)
-
-    cols = sorted(pivots)
-    # clear entries above each pivot
-    for j in cols:
-        r = pivots[j]
-        p = r[j]
-        for j2 in cols:
-            if j2 >= j:
-                break
-            s = pivots[j2]
-            if s[j]:
-                q = s[j] // p
-                pivots[j2] = [x - q * y for x, y in zip(s, r)]
-    return [pivots[j] for j in sorted(pivots)]
+        file(list(row), 0)
+    hnf = []
+    for j in range(ncols):
+        live = waiting.pop(j, [])
+        while len(live) > 1:
+            p = min(live, key=lambda r: abs(r[j]))
+            for r in live:
+                if r is not p:
+                    q = r[j] // p[j]
+                    file([x - q * y for x, y in zip(r, p)], j)
+            live = [p] + waiting.pop(j, [])
+        if live:
+            p = live[0] if live[0][j] > 0 else [-x for x in live[0]]
+            for i in [i for i, h in enumerate(hnf) if h[j]]:
+                q = hnf[i][j] // p[j]
+                hnf[i] = [x - q * y for x, y in zip(hnf[i], p)]
+            hnf.append(p)
+    return hnf
 
 
 def in_row_span(hnf_rows, vec):

@@ -22,9 +22,9 @@ shapes: Z^n at filtration 0 and (Z/2)^n above it.
            the basis nor the kernel lattice is built
   s >= 1   the kernel of d3 mod 2 as a lattice over 2Z^n, modulo 2Z^n
            and the incoming columns, zero and repeated ones dropped;
-           the kernel lattice, with 2Z^n in its coordinates, is built
-           once per d3 matrix and kept on the page, and one Smith form
-           per bidegree presents the group
+           T = 2K^-1 of the kernel lattice K is kept per d3 matrix: its
+           rows are 2Z^n in K coordinates, and half sums of them the
+           incoming columns; one Smith form per bidegree presents it
 homotopy_groups computes H(n, s) once per n - s and sector kind (free,
 nothing coming in, fed by the free sector, fed by torsion), which fixes
 the basis, the d3 columns and the incoming columns of every s >= 1.
@@ -109,12 +109,14 @@ def homology_at(page, d, s):
               d3 lands in Z/2 groups and comes as F2 bitset columns,
               incoming ones too, since 2Z^n is already a relation; zero
               and repeated incoming columns are dropped, and all
-              relations are solved in K coordinates; at s = 3 they come
+              relations are written in K coordinates; at s = 3 they come
               from the free monomials that can reach h1^3
               (`_free_incoming`), not from every free column
-    The page keeps K and the rows 2e_i in K coordinates per d3 matrix
-    (its column tuple), shared by the sector kinds of one k = d - s, so
-    a call solves only its incoming columns.
+    K contains 2Z^n, so T = 2K^-1 is integral: its rows are the 2e_i in
+    K coordinates, and an incoming 0/1 column v has K coordinates v T / 2,
+    half the sum of T's rows at v's set bits (an odd sum puts v outside
+    K).  The page keeps T per d3 matrix (its column tuple), shared by the
+    sector kinds of one k = d - s: one solve per matrix, none per call.
     """
     if s == 0:
         return FPAbelianGroup(page.free_count(d))
@@ -123,11 +125,10 @@ def homology_at(page, d, s):
         return FPAbelianGroup(0)
     d_out = page.d3_matrix(d, s)
     if d_out not in page._kernel_cache:
-        kbasis = preimage_lattice(d_out)
         twos = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
-        page._kernel_cache[d_out] = kbasis, solve_column_combination(
-            transpose(kbasis), twos)
-    kbasis, rows = page._kernel_cache[d_out]
+        page._kernel_cache[d_out] = solve_column_combination(
+            transpose(preimage_lattice(d_out)), twos)
+    rows = page._kernel_cache[d_out]
     if s >= 3:
         incoming = dict.fromkeys(_free_incoming(page, d) if s == 3
                                  else page.d3_matrix(d + 1, s - 3))
@@ -135,13 +136,12 @@ def homology_at(page, d, s):
         if any(_mod2_product(d_out, incoming)):
             raise NotAComplex("d3 o d3 is nonzero from (%d, %d)"
                               % (d + 1, s - 3))
-        if incoming:
-            rows = rows + solve_column_combination(
-                transpose(kbasis),
-                [[(col >> i) & 1 for i in range(m)] for col in incoming])
-    if any(y is None for y in rows):
-        raise NotAComplex("image vector falls outside the kernel lattice")
-    return FPAbelianGroup.from_presentation(len(kbasis), rows)
+        sums = [[sum(x) for x in zip(*(t for i, t in enumerate(rows)
+                                       if col >> i & 1))] for col in incoming]
+        if any(x % 2 for v in sums for x in v):
+            raise NotAComplex("image vector falls outside the kernel lattice")
+        rows = rows + [[x // 2 for x in v] for v in sums]
+    return FPAbelianGroup.from_presentation(m, rows)
 
 
 def _free_incoming(page, d):
@@ -219,7 +219,7 @@ class BigradedPage:
         self._free_counts = ()
         self._basis_cache = {}
         self._matrix_cache = {}
-        self._kernel_cache = {}  # d3 columns -> (K, 2e_i in K), homology_at
+        self._kernel_cache = {}  # d3 columns -> T = 2K^-1, homology_at
         self._enum_memo = {}
 
     # ---- monomials ----

@@ -11,7 +11,9 @@ import pytest
 
 from jfl import ring, spectral
 from jfl.generators import generator_table, stabilizer_power
-from jfl.lattice import determinant, smith_normal_form
+from jfl.lattice import (determinant, hermite_normal_form, in_row_span,
+                         kernel_basis, smith_normal_form,
+                         solve_column_combination, transpose)
 from jfl.series import NonDivisible, QYSeries, exact_divide, make_series
 
 
@@ -417,6 +419,62 @@ def snf_postconditions(cases=1000, seed=20260821):
                     for row in mat:
                         row[j] = 0
         snf_holds(mat)
+        done += 1
+    return done
+
+
+def hnf_holds(rows, ncols):
+    """Assert the conditions that fix the Hermite form of the rows'
+    lattice and return it: pivot columns strictly increase, pivots are
+    positive, entries above a pivot lie in [0, pivot), no row is zero,
+    and the rows span the same lattice as the input."""
+    hnf = hermite_normal_form(rows, ncols)
+    pivots = [next(j for j, x in enumerate(h) if x) for h in hnf]
+    assert pivots == sorted(set(pivots))
+    for i, j in enumerate(pivots):
+        assert hnf[i][j] > 0
+        assert all(0 <= h[j] < hnf[i][j] for h in hnf[:i])
+    assert all(in_row_span(hnf, row) for row in rows)
+    if hnf:
+        assert None not in solve_column_combination(transpose(rows), hnf)
+    return hnf
+
+
+# small inputs with a known form: a gcd, a sign, a repeated row
+HNF_CASES = (
+    (([[2, 4], [6, 8]], 2), [[2, 0], [0, 4]]),
+    (([[0, 4], [0, 6]], 2), [[0, 2]]),
+    (([[-3, 1], [-3, 1], [0, 0]], 2), [[3, -1]]),
+)
+
+
+def hnf_postconditions(cases=1000, seed=20261021):
+    # two kinds in turn: small signed matrices, with zero rows, repeated
+    # rows and often more rows than columns; and the pages' kind, the
+    # kernel rows of [D | 2I] cut to x that preimage_lattice feeds in,
+    # for random F2 columns D.  Permuting the rows must not move the form.
+    for args, want in HNF_CASES:
+        assert hnf_holds(*args) == want
+    rng = random.Random(seed)
+    done = 0
+    for k in range(cases):
+        if k % 2:
+            n, height = rng.randrange(1, 13), rng.randrange(1, 13)
+            cols = [rng.getrandbits(height) for _ in range(n)]
+            aug = [[(c >> i) & 1 for c in cols]
+                   + [2 * (i == j) for j in range(height)]
+                   for i in range(height)]
+            rows = [v[:n] for v in kernel_basis(aug, ncols=n + height)]
+        else:
+            n = rng.randrange(1, 7)
+            mag = rng.choice((1, 9, 10 ** 6))
+            rows = [[rng.randint(-mag, mag) for _ in range(n)]
+                    for _ in range(rng.randrange(1, 10))]
+            for i in rng.sample(range(len(rows)), rng.randrange(len(rows))):
+                rows[i] = rng.choice(([0] * n, list(rng.choice(rows))))
+        hnf = hnf_holds(rows, n)
+        rng.shuffle(rows)
+        assert hermite_normal_form(rows, n) == hnf
         done += 1
     return done
 

@@ -7,17 +7,9 @@ from jfl.lattice import (FPAbelianGroup, determinant, hermite_normal_form,
                          identity_matrix, in_row_span, invariant_factors,
                          kernel_basis, mat_vec,
                          smith_normal_form, snf_diagonal,
-                         solve_column_combination, transpose, xgcd)
+                         solve_column_combination, transpose)
 from property_suites import (bareiss_determinant, determinant_matches_bareiss,
-                             mat_mul, snf_postconditions)
-
-
-def test_xgcd():
-    for a, b in [(12, 18), (-12, 18), (0, 5), (5, 0), (0, 0), (7, 3)]:
-        g, x, y = xgcd(a, b)
-        assert g >= 0
-        assert a * x + b * y == g
-    assert xgcd(12, 18)[0] == 6
+                             hnf_postconditions, mat_mul, snf_postconditions)
 
 
 def test_smith_normal_form_worked_example():
@@ -33,6 +25,12 @@ def test_snf_diagonal_shapes():
     assert snf_diagonal([[6]]) == [6]
     # wide and tall
     assert snf_diagonal([[2, 0], [0, 3], [0, 0]]) == [1, 6]
+
+
+@pytest.mark.parametrize("mat", [[[1, 2], [3]], [[1], [2, 3]], [[], [0]]])
+def test_smith_normal_form_refuses_ragged_rows(mat):
+    with pytest.raises(ValueError, match="row length mismatch"):
+        smith_normal_form(mat)
 
 
 def test_kernel_basis_annihilates():
@@ -62,6 +60,17 @@ def test_solve_column_combination():
     # target zero is always solvable
     assert solve_column_combination(mat, [[4, 9], [1, 0], [0, 0]]) == [
         [2, 3], None, [0, 0]]
+
+
+@pytest.mark.parametrize("mat, targets", [
+    ([[1], [0]], [[1]]),  # a short target is not padded with zeros
+    ([[1], [0]], [[1, 0], [1, 0, 0]]),
+    ([], [[1]]),
+])
+def test_solve_column_combination_refuses_targets_of_another_length(
+        mat, targets):
+    with pytest.raises(ValueError, match="target length mismatch"):
+        solve_column_combination(mat, targets)
 
 
 def _random_unimodular(rng, n):
@@ -281,3 +290,7 @@ def test_transpose_round_trip():
 
 def test_snf_property_suite():
     assert snf_postconditions(1000) >= 1000
+
+
+def test_hnf_property_suite():
+    assert hnf_postconditions(1000) == 1000

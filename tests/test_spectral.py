@@ -58,6 +58,16 @@ class TestHomologyAt:
                            match=r"d3 o d3 is nonzero from \(8, 0\)"):
             homotopy_groups(page)
 
+    def test_an_incoming_column_outside_the_kernel(self, monkeypatch):
+        # with the d3 o d3 check blinded, the same page's incoming column
+        # at (7, 3) has an odd sum of T = 2K^-1 rows: it is not in K
+        spec = tjf_page(16).spec
+        d3 = dict(spec.d3, b4=((1, {"h1": 3, "b2": 1}),))
+        page = BigradedPage(spec._replace(d3=d3))
+        monkeypatch.setattr(spectral, "_mod2_product", lambda d, cols: [0])
+        with pytest.raises(NotAComplex, match="outside the kernel lattice"):
+            homology_at(page, 7, 3)
+
 
 def _key(**exps):
     # h1 first, then the rest by name, which on the five-generator pages
