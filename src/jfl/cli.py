@@ -152,15 +152,16 @@ def cmd_verify_all(args):
     for name, run in SUITE:
         try:
             checks.append({"name": name, "status": "ok" if run() else "mismatch"})
-        except Exception as exc:  # a broken check is a mismatch, not an abort
-            checks.append({"name": name, "status": "error", "error": str(exc)})
-    ok = all(c["status"] == "ok" for c in checks)
+        except Exception as exc:  # the other checks still run
+            checks.append({"name": name, "status": "error",
+                           "error": _error_message(exc)})
+    statuses = [c["status"] for c in checks]
+    overall = next((s for s in ("error", "mismatch") if s in statuses), "ok")
     lines = ["%s: %s" % (c["name"], c["status"])
              + (" (%s)" % c["error"] if "error" in c else "") for c in checks]
-    lines.append("overall: %s" % ("ok" if ok else "mismatch"))
-    payload = {"checks": checks, "overall": "ok" if ok else "mismatch"}
-    return ("ok" if ok else "mismatch", payload, list(DEVIATIONS),
-            "\n".join(lines))
+    lines.append("overall: %s" % overall)
+    payload = {"checks": checks, "overall": overall}
+    return overall, payload, list(DEVIATIONS), "\n".join(lines)
 
 
 # -- argument parsing and dispatch ----------------------------------------
@@ -208,17 +209,22 @@ def build_parser():
     return parser
 
 
+def _error_message(exc):
+    """The text of the exception being handled: a bug's has its type."""
+    if isinstance(exc, ValueError):
+        return str(exc)
+    import traceback  # only here: it costs every request's start-up
+    traceback.print_exc()
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         status, payload, deviations, text = args.fn(args)
     except Exception as exc:  # a bug is still an error, not a mismatch
-        message = str(exc)
-        if not isinstance(exc, ValueError):
-            import traceback  # only here: it costs every request's start-up
-            traceback.print_exc()
-            message = "%s: %s" % (type(exc).__name__, message)
+        message = _error_message(exc)
         status, payload, deviations = "error", {"error": message}, []
         text = "error: %s" % message
     if args.format == "json":

@@ -99,7 +99,7 @@ def _fold_doubled_q(f):
         if n % 2:
             raise SeriesError("internal: odd half-order q-term survived folding")
         terms[(n // 2, r2)] = c
-    return QYSeries(terms, f.truncation // 2, f.parity)
+    return QYSeries(terms, f.truncation // 2)
 
 
 def _xi_square(theta):
@@ -121,7 +121,7 @@ def _xi_square_parts(truncation):
     halves = ({}, {})
     for (n, r2), c in A._terms.items():
         halves[n % 2][(n, r2)] = c
-    return (QYSeries(halves[0], M, A.parity), QYSeries(halves[1], M, A.parity),
+    return (QYSeries(halves[0], M), QYSeries(halves[1], M),
             _xi_square(_theta_sum(M, 1, _one, doubled=True)))
 
 
@@ -220,31 +220,24 @@ def stabilizer_power(a, k):
 
 # -- classical one-variable forms -------------------------------------
 
-def _divisor_power_sum(n, k):
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d ** k
-            e = n // d
-            if e != d:
-                total += e ** k
-        d += 1
-    return total
+def _eisenstein(truncation, k, factor):
+    """1 + factor sum sigma_(k-1)(n) q^n, sigma from one divisor sieve."""
+    sigma = [0] * truncation
+    for d in range(1, truncation):
+        for n in range(d, truncation, d):
+            sigma[n] += d ** (k - 1)
+    return make_series([(0, 0, 1)] + [(n, 0, factor * sigma[n])
+                                      for n in range(1, truncation)], truncation)
 
 
 def eisenstein_c4(truncation):
     """1 + 240 sum sigma_3(n) q^n."""
-    entries = [(0, 0, 1)]
-    entries += [(n, 0, 240 * _divisor_power_sum(n, 3)) for n in range(1, truncation)]
-    return make_series(entries, truncation)
+    return _eisenstein(truncation, 4, 240)
 
 
 def eisenstein_c6(truncation):
     """1 - 504 sum sigma_5(n) q^n."""
-    entries = [(0, 0, 1)]
-    entries += [(n, 0, -504 * _divisor_power_sum(n, 5)) for n in range(1, truncation)]
-    return make_series(entries, truncation)
+    return _eisenstein(truncation, 6, -504)
 
 
 def discriminant(truncation):

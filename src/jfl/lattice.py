@@ -13,6 +13,7 @@ the determinant works on sparse rows.
 """
 
 from math import gcd
+from operator import index
 
 
 def identity_matrix(n):
@@ -290,9 +291,12 @@ class FPAbelianGroup:
     __slots__ = ("rank", "torsion")
 
     def __init__(self, rank, torsion=()):
+        try:
+            rank, torsion = index(rank), tuple(map(index, torsion))
+        except TypeError:
+            raise ValueError("rank and torsion must be integers") from None
         if rank < 0:
             raise ValueError("rank must be >= 0")
-        torsion = tuple(torsion)
         if any(t < 2 for t in torsion):
             raise ValueError("torsion entries must be >= 2")
         for i in range(len(torsion) - 1):

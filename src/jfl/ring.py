@@ -18,6 +18,7 @@ them, so ring arithmetic and the certificate load neither.
 """
 
 from functools import lru_cache
+from operator import index
 
 GENERATOR_NAMES = ("b2", "b3", "b4", "b8")
 
@@ -143,13 +144,17 @@ def normal_form(p):
     """Normalize a polynomial in b2, b3, b4, b8 (b4-exponents unrestricted).
 
     Accepts a JFElement or a map monomial -> coeff, where a monomial is
-    a 4-tuple of nonnegative exponents (b2, b3, b4, b8).
+    a 4-tuple of nonnegative exponents (b2, b3, b4, b8); exponents and
+    coefficients must be ints (ValueError otherwise).
     """
     if isinstance(p, JFElement):
         return p
     acc = {}
     for mono, coeff in p.items():
-        a, b, e, g = mono
+        try:
+            a, b, e, g, coeff = map(index, (*mono, coeff))
+        except TypeError:
+            raise ValueError("%r: %r is not an integer term" % (mono, coeff)) from None
         if min(a, b, e, g) < 0:
             raise ValueError("negative exponent in %r" % (mono,))
         _accumulate_reduced(acc, (a, b, e, g), coeff)

@@ -2,8 +2,9 @@
 
 A QYSeries is a finite sum of terms ``c * q^n * y^(r2/2)`` with integer
 coefficients, where 0 <= n < truncation and the doubled y-exponent r2
-runs over integers of one fixed parity (all even or all odd).  Storing
-the doubled exponent keeps half-integer powers of y in integer keys.
+runs over integers of one parity, read from the terms: the zero series
+reports 0 and combines with either parity.  Storing the doubled
+exponent keeps half-integer powers of y in integer keys.
 Terms at q-order >= truncation are unknown, not zero; binary operations
 therefore truncate to the smaller precision of their operands.
 
@@ -26,7 +27,7 @@ The degree guard on q-orders is in ``jfl.guard``, so a command that
 builds no series does not load this module.
 """
 
-from operator import mul
+from operator import index, mul
 
 
 class SeriesError(ValueError):
@@ -46,13 +47,14 @@ class NonDivisible(SeriesError):
 
 
 class QYSeries:
-    __slots__ = ("truncation", "parity", "_terms")
+    """Terms (n, r2) -> nonzero int below q^truncation; parity from r2."""
 
-    def __init__(self, terms, truncation, parity):
-        # internal: terms must already be canonical
+    __slots__ = ("truncation", "_terms")
+
+    def __init__(self, terms, truncation):
+        # internal: terms must already be canonical and of one parity
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "parity", parity)
 
     def __setattr__(self, name, value):
         raise AttributeError("QYSeries is immutable")
@@ -60,14 +62,18 @@ class QYSeries:
     # -- construction ------------------------------------------------
 
     @staticmethod
-    def zero(truncation, parity=0):
-        return QYSeries({}, truncation, parity)
+    def zero(truncation):
+        return QYSeries({}, truncation)
 
     @staticmethod
     def one(truncation):
-        return QYSeries({(0, 0): 1}, truncation, 0)
+        return QYSeries({(0, 0): 1}, truncation)
 
     # -- inspection --------------------------------------------------
+
+    @property
+    def parity(self):
+        return next(iter(self._terms))[1] & 1 if self._terms else 0
 
     def is_zero(self):
         return not self._terms
@@ -93,16 +99,9 @@ class QYSeries:
     def __eq__(self, other):
         if not isinstance(other, QYSeries):
             return NotImplemented
-        if self.truncation != other.truncation:
-            return False
-        if self._terms != other._terms:
-            return False
-        # a zero series belongs to both parity classes
-        return (not self._terms) or self.parity == other.parity
+        return self.truncation == other.truncation and self._terms == other._terms
 
     def __hash__(self):
-        # no parity: a nonzero series' parity follows from its terms, and
-        # the zero series equals itself under either parity
         return hash((self.truncation, frozenset(self._terms.items())))
 
     def __repr__(self):
@@ -111,13 +110,14 @@ class QYSeries:
     # -- arithmetic --------------------------------------------------
 
     def __neg__(self):
-        return QYSeries({k: -c for k, c in self._terms.items()},
-                        self.truncation, self.parity)
+        return QYSeries({k: -c for k, c in self._terms.items()}, self.truncation)
 
     def __add__(self, other):
         if not isinstance(other, QYSeries):
             return NotImplemented
-        parity = _joint_parity(self, other)
+        if self._terms and other._terms and self.parity != other.parity:
+            raise MixedParity("cannot combine parity %d with parity %d"
+                              % (self.parity, other.parity))
         trunc = min(self.truncation, other.truncation)
         out = {k: c for k, c in self._terms.items() if k[0] < trunc}
         for key, c in other._terms.items():
@@ -127,7 +127,7 @@ class QYSeries:
                     out[key] = v
                 else:  # c is nonzero, so key was in out
                     del out[key]
-        return QYSeries(out, trunc, parity)
+        return QYSeries(out, trunc)
 
     def __sub__(self, other):
         return self + (-other)
@@ -156,13 +156,12 @@ class QYSeries:
         if not isinstance(other, QYSeries):
             return NotImplemented
         trunc = min(self.truncation, other.truncation)
-        parity = (self.parity + other.parity) % 2
         a_layers = _q_layers(self, trunc)
         b_layers = a_layers if other is self else _q_layers(other, trunc)
         norms = [sum(map(abs, layer.values())) for layer in a_layers]
         tops = [max(map(abs, layer.values()), default=0) for layer in b_layers]
         if not any(norms) or not any(tops):
-            return QYSeries({}, trunc, parity)
+            return QYSeries({}, trunc)
         size = _digit_bytes(max(sum(map(mul, norms, tops[n::-1]))
                                 for n in range(trunc)))
         a_packed = [(i, _pack(layer, size))
@@ -190,18 +189,13 @@ class QYSeries:
             if pairs:
                 out.update(((n, r2), c)
                            for r2, c in _unpack(_convolve(pairs, size), size))
-        return QYSeries(out, trunc, parity)
+        return QYSeries(out, trunc)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scale(self, k):
-        if k == 0:
-            return QYSeries.zero(self.truncation, self.parity)
-        return QYSeries({key: k * c for key, c in self._terms.items()},
-                        self.truncation, self.parity)
+        return QYSeries({key: k * c for key, c in self._terms.items() if k},
+                        self.truncation)
 
     def divide_exact(self, k):
         """The series with every coefficient divided by the int k;
@@ -213,7 +207,7 @@ class QYSeries:
             out[key], rem = divmod(c, k)
             if rem:
                 raise NonDivisible("coefficient %d not divisible by %d" % (c, k))
-        return QYSeries(out, self.truncation, self.parity)
+        return QYSeries(out, self.truncation)
 
     def __pow__(self, k):
         """Square and multiply, starting from the lowest power k needs."""
@@ -237,14 +231,14 @@ class QYSeries:
             raise BadExponent("cannot extend truncation %d to %d"
                               % (self.truncation, new_truncation))
         out = {k: c for k, c in self._terms.items() if k[0] < new_truncation}
-        return QYSeries(out, new_truncation, self.parity)
+        return QYSeries(out, new_truncation)
 
     def shift_q(self, k):
         """Multiply by q^k (k >= 0); precision window grows with the shift."""
         if k < 0:
             raise BadExponent("negative q-shift")
         return QYSeries({(n + k, r2): c for (n, r2), c in self._terms.items()},
-                        self.truncation + k, self.parity)
+                        self.truncation + k)
 
     def specialize_z0(self):
         """Set y = 1: the list of q-coefficients Sum_r2 c(n, r2)."""
@@ -261,10 +255,6 @@ def _q_layers(series, trunc):
         if n < trunc:
             layers[n][r2] = c
     return layers
-
-
-def _max_abs(layers):
-    return max((abs(c) for layer in layers for c in layer.values()), default=0)
 
 
 def _digit_bytes(bound):
@@ -312,46 +302,36 @@ def _unpack(packed, size):
             for chunk in (raw[k * size:(k + 1) * size],) if chunk != blank]
 
 
-def _joint_parity(f, g):
-    if not f._terms:
-        return g.parity
-    if not g._terms:
-        return f.parity
-    if f.parity != g.parity:
-        raise MixedParity("cannot combine parity %d with parity %d"
-                          % (f.parity, g.parity))
-    return f.parity
-
-
-def make_series(entries, truncation, parity=None):
+def make_series(entries, truncation):
     """Build a canonical QYSeries from (n, r2, coeff) triples.
 
-    Duplicate keys are summed and zero coefficients dropped.  The parity
-    is inferred from the entries unless given explicitly as 0 or 1 (any
-    other value raises SeriesError); entries of mixed parity raise
-    MixedParity, out-of-range q-exponents raise BadExponent.
+    Duplicate keys are summed and zero coefficients dropped.  Every n,
+    r2 and coeff must be an int (SeriesError otherwise); entries of
+    mixed parity raise MixedParity, out-of-range q-exponents raise
+    BadExponent.
     """
     if truncation < 1:
         raise BadExponent("truncation must be positive")
-    if parity not in (None, 0, 1):
-        raise SeriesError("parity must be 0 or 1, not %r" % (parity,))
     terms = {}
-    seen_parity = parity
-    for n, r2, c in entries:
+    parity = None
+    for entry in entries:
+        try:
+            n, r2, c = map(index, entry)
+        except TypeError:
+            raise SeriesError("entry %r is not three integers" % (entry,)) from None
         if not 0 <= n < truncation:
             raise BadExponent("q-exponent %d outside [0, %d)" % (n, truncation))
-        p = r2 & 1
-        if seen_parity is None:
-            seen_parity = p
-        elif p != seen_parity:
-            raise MixedParity("r2 = %d breaks declared parity %d" % (r2, seen_parity))
+        if parity is None:
+            parity = r2 & 1
+        elif r2 & 1 != parity:
+            raise MixedParity("r2 = %d breaks declared parity %d" % (r2, parity))
         key = (n, r2)
         v = terms.get(key, 0) + c
         if v:
             terms[key] = v
         else:
             terms.pop(key, None)
-    return QYSeries(terms, truncation, seen_parity if seen_parity is not None else 0)
+    return QYSeries(terms, truncation)
 
 
 def _laurent_exact_div(num, den):
@@ -424,8 +404,8 @@ def exact_divide(f, g):
     if any(f_layers[:g_order]):
         raise NonDivisible("numerator has lower q-order than denominator")
 
-    parity = (f.parity - g.parity) % 2
-    g_max, g_len = _max_abs(g_layers), max(map(len, g_layers))
+    g_max = max(abs(c) for layer in g_layers for c in layer.values())
+    g_len = max(map(len, g_layers))
     h_layers, h_max, h_len = [], 0, 0
     size, h_packed, g_packed = 0, [], []
     terms = {}
@@ -446,7 +426,7 @@ def exact_divide(f, g):
             continue
         for e, c in h_k.items():
             terms[(k, e)] = c
-        h_max = max(h_max, _max_abs([h_k]))
+        h_max = max(h_max, *map(abs, h_k.values()))
         h_len = max(h_len, len(h_k))
         need = _digit_bytes(h_max * g_max * out_trunc * min(h_len, g_len))
         if need > size:
@@ -456,10 +436,7 @@ def exact_divide(f, g):
                         if layer]
         else:
             h_packed.append((k, _pack(h_k, size)))
-    result = QYSeries(terms, out_trunc, parity)
-    if result._terms and any((r2 & 1) != result.parity for _, r2 in result._terms):
-        raise MixedParity("quotient has inconsistent y-parity")
-    return result
+    return QYSeries(terms, out_trunc)
 
 
 # -- rendering -------------------------------------------------------

@@ -268,11 +268,12 @@ def test_verify_all_json_keeps_error_text(run, monkeypatch):
     monkeypatch.setitem(spectral._TARGETS, "msu",
                         (broken, spectral.expected_msu_group))
     code, out = run(["verify-all", "--format", "json"])
-    assert code == 1
+    assert code == 2
     parsed = json.loads(out)
+    assert parsed["status"] == parsed["payload"]["overall"] == "error"
     check = parsed["payload"]["checks"][3]
     assert check == {"name": suite.SUITE[3][0], "status": "error",
-                     "error": "table went missing"}
+                     "error": "RuntimeError: table went missing"}
     assert [c["status"] for c in parsed["payload"]["checks"]].count("ok") == 7
 
 
@@ -363,6 +364,12 @@ ENVELOPES = {
         ["verify-all"],
         lambda mp: mp.setattr(suite, "SUITE", (("never", lambda: False),)),
         1, DEVIATIONS),
+    # an error beats a mismatch, and the checks after it still run
+    "verify-all error": (
+        ["verify-all"],
+        lambda mp: mp.setattr(suite, "SUITE", (
+            ("never", lambda: False), ("broken", _key_error),
+            ("fine", lambda: True))), 2, DEVIATIONS),
 }
 
 
@@ -378,3 +385,17 @@ def test_every_command_answers_in_one_envelope(case, run, monkeypatch):
     assert parsed["status"] == ("ok", "mismatch", "error")[exit_code]
     assert parsed["deviations"] == list(deviations)
     assert json.dumps(parsed, indent=2) + "\n" == out
+
+
+def test_verify_all_error_beats_mismatch(run, monkeypatch):
+    # every check runs; a bug's text names its type, a ValueError's not
+    def bad_value():
+        raise ValueError("no such table")
+    monkeypatch.setattr(suite, "SUITE", (
+        ("never", lambda: False), ("broken", _key_error),
+        ("fine", lambda: True), ("bad value", bad_value)))
+    code, out = run(["verify-all"])
+    assert code == 2
+    assert out.splitlines() == [
+        "never: mismatch", "broken: error (KeyError: 'B9')", "fine: ok",
+        "bad value: error (no such table)", "overall: error"]

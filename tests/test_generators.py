@@ -10,7 +10,8 @@ from jfl.generators import (CALIBRATION, discriminant, eisenstein_c4,
                             gen_b8, generator_table, mf_embedding_report,
                             stabilizer_power, theta_quotient, verify_relation,
                             verify_discriminant_identity, verify_mf_embedding)
-from jfl.series import BadExponent, QYSeries, exact_divide, make_series
+from jfl.series import (BadExponent, QYSeries, exact_divide, make_series,
+                        render_json_dict)
 from jfl.spectral import DEFAULT_MAX_DEGREE_GUARD
 from property_suites import dict_product
 
@@ -52,6 +53,14 @@ def test_b8_leading_terms(tab):
     assert tab.b8.parity == 0
     assert tab.b8.q_layer(0) == {-2: 1, 0: 1, 2: 1}
     assert tab.b8.q_layer(1) == {-8: -1, -6: -1, -2: 1, 0: 2, 2: 1, 6: -1, 8: -1}
+
+
+def test_zero_differences_of_either_parity_agree(tab):
+    # b3 is odd and b2 even, but b3 - b3 and b2 - b2 are one zero series
+    odd_zero, even_zero = tab.b3 - tab.b3, tab.b2 - tab.b2
+    assert odd_zero == even_zero
+    assert hash(odd_zero) == hash(even_zero)
+    assert render_json_dict(odd_zero) == render_json_dict(even_zero)
 
 
 def test_b2_square_anchor(tab):
@@ -107,6 +116,30 @@ def test_stabilizer_power_signs(tab):
 
 def test_calibration_record():
     assert CALIBRATION == {"a_branch": "+", "a_square_sign": -1}
+
+
+def _divisor_power_sum(n, k):
+    """sigma_k(n) by trial division up to sqrt(n): the oracle for the
+    divisor sieve in the Eisenstein series."""
+    total = 0
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            total += d ** k
+            e = n // d
+            if e != d:
+                total += e ** k
+        d += 1
+    return total
+
+
+@pytest.mark.parametrize("build, k, factor", [(eisenstein_c4, 3, 240),
+                                              (eisenstein_c6, 5, -504)])
+def test_eisenstein_sieve_matches_trial_division(build, k, factor):
+    want = make_series([(0, 0, 1)] + [(n, 0, factor * _divisor_power_sum(n, k))
+                                      for n in range(1, 130)], 130)
+    assert build(130) == want
+    assert build(1) == QYSeries.one(1)
 
 
 def test_eisenstein_c4_coefficients():

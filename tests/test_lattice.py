@@ -272,6 +272,17 @@ class TestFPAbelianGroup:
         with pytest.raises(ValueError, match="rank"):
             FPAbelianGroup(-2, (2,))
 
+    @pytest.mark.parametrize("rank, torsion", [
+        (1.5, ()),  # read as Z^1
+        (0, (2.0, 4.0)),  # equal to FPAbelianGroup(0, (2, 4))
+        (1, (2, 4.0)),
+        ("1", ()),
+        (0, 2),  # torsion not a sequence
+    ])
+    def test_non_integers_rejected(self, rank, torsion):
+        with pytest.raises(ValueError, match="must be integers"):
+            FPAbelianGroup(rank, torsion)
+
     def test_is_immutable(self):
         # it hashes by value, so a group in a set must not change
         g = FPAbelianGroup(1, (2,))
@@ -289,7 +300,8 @@ def test_transpose_round_trip():
 
 
 def test_snf_property_suite():
-    assert snf_postconditions(1000) >= 1000
+    # a seed apart from the acceptance gate's default
+    assert snf_postconditions(1000, seed=20261104) >= 1000
 
 
 def test_hnf_property_suite():

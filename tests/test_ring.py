@@ -34,6 +34,18 @@ def test_normal_form_input_shapes():
         normal_form({(-1, 0, 0, 0): 1})
 
 
+@pytest.mark.parametrize("mono, coeff", [
+    ((1.5, 0, 0, 0), 1),  # rendered b2^1
+    ((0, 0, 2.0, 0), 1),
+    ((1, 0, 0, 0), 0.5),
+    ((1, 0, 0, 0), 2.0),
+    ((1, 0, 0, "1"), 1),
+])
+def test_normal_form_refuses_non_integers(mono, coeff):
+    with pytest.raises(ValueError, match="is not an integer term"):
+        normal_form({mono: coeff})
+
+
 def test_degrees():
     assert monomial_degree((1, 0, 0, 0)) == 4
     assert monomial_degree((1, 2, 1, 1)) == 40
@@ -230,4 +242,5 @@ def test_immutability():
 
 
 def test_normal_form_property_suite():
-    assert normal_form_homomorphism(1000) >= 1000
+    # a seed apart from the acceptance gate's default
+    assert normal_form_homomorphism(1000, seed=20261103) >= 1000

@@ -1,7 +1,7 @@
 import pytest
 
 from jfl.series import (BadExponent, MixedParity, NonDivisible, QYSeries,
-                        SeriesError, exact_divide, make_series, render_json_dict,
+                        exact_divide, make_series, render_json_dict,
                         render_text)
 from jfl import series
 from property_suites import (dict_exact_divide, exact_divide_round_trips,
@@ -24,15 +24,15 @@ def test_make_series_infers_odd_parity():
 
 
 def test_make_series_rejects_mixed_parity():
-    with pytest.raises(MixedParity):
+    with pytest.raises(MixedParity, match="r2 = 1 breaks declared parity 0"):
         make_series([(0, 0, 1), (0, 1, 1)], truncation=2)
 
 
-@pytest.mark.parametrize("terms", [[], [(0, 2, 1)]])
-def test_declared_parity_must_be_0_or_1(terms):
-    with pytest.raises(SeriesError, match="parity must be 0 or 1, not 2"):
-        make_series(terms, 3, parity=2)
-    assert make_series(terms, 3, parity=0).parity == 0
+@pytest.mark.parametrize("entry", [(0, 0, 0.5), (0, 2.0, 1), (0.0, 0, 1),
+                                   (0, 0, "1"), (0, None, 1)])
+def test_make_series_refuses_non_integers(entry):
+    with pytest.raises(ValueError, match="is not three integers"):
+        make_series([entry], 1)
 
 
 def test_make_series_exponent_validation():
@@ -84,16 +84,19 @@ def test_mixed_parity_arithmetic_rejected():
 
 
 def test_zero_is_parity_wild():
-    z_even = QYSeries.zero(2, parity=0)
-    z_odd = QYSeries.zero(2, parity=1)
-    assert z_even == z_odd
-    assert len({z_even, z_odd}) == 1
     odd = make_series([(0, 1, 1)], truncation=2)
-    assert z_even + odd == odd
+    even = make_series([(0, 0, 1)], truncation=2)
+    zero = QYSeries.zero(2)
+    assert zero.parity == 0
+    assert odd - odd == even - even == zero
+    assert len({odd - odd, even - even, zero}) == 1
+    for f in (odd, even):
+        assert zero + f == f + zero == f
 
 
 def test_equality_needs_matching_truncation():
     assert QYSeries.one(3) != QYSeries.one(4)
+    assert QYSeries.zero(3) != QYSeries.zero(4)
     f = make_series([(0, 0, 2)], truncation=3)
     assert f == make_series([(0, 0, 2)], truncation=3)
     assert f != make_series([(0, 0, 2)], truncation=4)
@@ -126,9 +129,9 @@ def test_pow_matches_repeated_mul():
     assert f ** 0 == QYSeries.one(4)
     assert f ** 1 == f
     assert f ** 6 == (f * f * f) * (f * f * f)
-    odd_zero = QYSeries.zero(4, parity=1)
-    assert (odd_zero ** 3).parity == 1
-    assert (odd_zero ** 2).is_zero()
+    odd = make_series([(0, 1, 3)], truncation=4)
+    assert (odd - odd) ** 3 == QYSeries.zero(4)
+    assert ((odd - odd) ** 3).parity == 0
     with pytest.raises(ValueError):
         f ** -1
 
@@ -199,16 +202,20 @@ def test_json_round_trip():
         "truncation": 4, "parity": 1,
         "terms": [{"q": 0, "y2": 1, "c": str(-10 ** 30)},
                   {"q": 2, "y2": -3, "c": "5"}]}
-    assert render_json_dict(QYSeries.zero(2, 1)) == {
-        "truncation": 2, "parity": 1, "terms": []}
+    # the zero series has no odd term, so it reports parity 0
+    for zero in (QYSeries.zero(4), big - big, f.truncate(2).scale(0)):
+        assert render_json_dict(zero) == {"truncation": zero.truncation,
+                                          "parity": 0, "terms": []}
 
 
+# seeds apart from the acceptance gate's, which runs both suites on
+# their defaults
 def test_ring_axiom_suite():
-    assert series_ring_axioms(1000) >= 1000
+    assert series_ring_axioms(1000, seed=20261101) >= 1000
 
 
 def test_exact_divide_suite():
-    assert exact_divide_round_trips(1000) >= 1000
+    assert exact_divide_round_trips(1000, seed=20261102) >= 1000
 
 
 def test_packed_product_matches_dict_product():

@@ -987,5 +987,6 @@ class TestDegreeGuard:
 
 
 def test_d3_property_suites():
-    assert d3_squared_zero(1000) >= 1000
-    assert signed_leibniz(1000) >= 1000
+    # seeds apart from the acceptance gate's defaults
+    assert d3_squared_zero(1000, seed=20261105) >= 1000
+    assert signed_leibniz(1000, seed=20261106) >= 1000
