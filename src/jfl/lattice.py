@@ -8,8 +8,10 @@ factors, kernels and integer solving) and Hermite normal form (for
 lattice membership), each one Euclid loop over small dense matrices
 with no repair pass: each Smith pivot divides everything left, so the
 diagonal is a divisibility chain as it is built, and each Hermite
-pivot is reduced into the rows above as its column is placed.  Only
-the determinant works on sparse rows.
+pivot is reduced into the rows above as its column is placed.  The
+determinant runs the Hermite form's column loop on sparse rows: the
+row left at each column moves into place and flips the sign if it
+moved, so no permutation is tracked.
 """
 
 from math import gcd
@@ -156,53 +158,38 @@ def determinant(mat):
     """Determinant of a square integer matrix by Euclidean elimination
     over sparse rows; ValueError if a row's length is not the row count.
 
-    Each row, held as {column: value}, is reduced against the pivot rows
-    by leading column; where a pivot does not divide, the two rows trade
-    places Euclid-style, so every step adds a multiple of one row to
-    another and leaves the determinant alone.  The rows then have
-    distinct leading columns: the determinant is the product of the
-    leading values times the sign of the slot-to-column permutation.
+    At column c the rows from c down that are nonzero there run Euclid
+    until one is left; each step adds a multiple of one row to another,
+    which leaves the determinant alone.  That row moves into row c,
+    flipping the sign if it moved, and its entry multiplies the result;
+    a column with no such row makes the determinant 0.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("row length mismatch")
-    pivots = {}  # leading column -> (slot, row)
-    for slot, dense in enumerate(mat):
-        row = {j: v for j, v in enumerate(dense) if v}
-        while row:
-            c = min(row)
-            if c not in pivots:
-                pivots[c] = (slot, row)
-                break
-            other, prow = pivots[c]
-            q = row[c] // prow[c]
-            if q:
-                for j, v in prow.items():
-                    w = row.get(j, 0) - q * v
-                    if w:
-                        row[j] = w
-                    else:
-                        del row[j]
-            if c in row:  # a nonzero remainder: it becomes the pivot
-                pivots[c] = (slot, row)
-                slot, row = other, prow
-        else:
-            return 0
-    column_of = [0] * n
+    rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
     det = 1
-    for c, (slot, row) in pivots.items():
-        column_of[slot] = c
-        det *= row[c]
-    # the sign of the permutation: -1 per even-length cycle
-    seen = [False] * n
-    for start in range(n):
-        length, i = 0, start
-        while not seen[i]:
-            seen[i] = True
-            i = column_of[i]
-            length += 1
-        if length and length % 2 == 0:
+    for c in range(n):
+        live = [row for row in rows[c:] if c in row]
+        while len(live) > 1:
+            p = min(live, key=lambda row: abs(row[c]))
+            for row in live:
+                if row is not p:
+                    q = row[c] // p[c]  # nonzero, as |row[c]| >= |p[c]|
+                    for j, v in p.items():
+                        w = row.get(j, 0) - q * v
+                        if w:
+                            row[j] = w
+                        else:
+                            del row[j]
+            live = [row for row in live if c in row]
+        if not live:
+            return 0
+        i = rows.index(live[0], c)  # the one row from c on holding c
+        if i != c:
+            rows[c], rows[i] = rows[i], rows[c]
             det = -det
+        det *= rows[c][c]
     return det
 
 

@@ -86,6 +86,10 @@ class JFElement:
         return self + (-other)
 
     def scale(self, k):
+        try:
+            k = index(k)
+        except TypeError:
+            raise ValueError("factor %r is not an integer" % (k,)) from None
         if k == 0:
             return JFElement({})
         return JFElement({m: k * c for m, c in self.coeffs.items()})

@@ -8,8 +8,9 @@ exponent keeps half-integer powers of y in integer keys.
 Terms at q-order >= truncation are unknown, not zero; binary operations
 therefore truncate to the smaller precision of their operands.
 
-All coefficients are exact Python ints.  Values are immutable; every
-operation returns a fresh series.
+All coefficients are exact Python ints: a truncation, factor, divisor
+or shift is read by ``operator.index``, and a truncation must be at
+least 1.  Values are immutable; every operation returns a fresh series.
 
 Products run one q-layer at a time.  Each q-layer is packed into a
 single int by Kronecker substitution in y, starting from its own least
@@ -63,11 +64,11 @@ class QYSeries:
 
     @staticmethod
     def zero(truncation):
-        return QYSeries({}, truncation)
+        return QYSeries({}, _truncation(truncation))
 
     @staticmethod
     def one(truncation):
-        return QYSeries({(0, 0): 1}, truncation)
+        return QYSeries({(0, 0): 1}, _truncation(truncation))
 
     # -- inspection --------------------------------------------------
 
@@ -194,12 +195,14 @@ class QYSeries:
     __rmul__ = __mul__
 
     def scale(self, k):
+        k = _int(k, "factor")
         return QYSeries({key: k * c for key, c in self._terms.items() if k},
                         self.truncation)
 
     def divide_exact(self, k):
         """The series with every coefficient divided by the int k;
         NonDivisible if k is 0 or leaves a remainder."""
+        k = _int(k, "divisor")
         if not k:
             raise NonDivisible("division by zero")
         out = {}
@@ -227,6 +230,7 @@ class QYSeries:
     # -- reshaping ---------------------------------------------------
 
     def truncate(self, new_truncation):
+        new_truncation = _truncation(new_truncation)
         if new_truncation > self.truncation:
             raise BadExponent("cannot extend truncation %d to %d"
                               % (self.truncation, new_truncation))
@@ -235,6 +239,7 @@ class QYSeries:
 
     def shift_q(self, k):
         """Multiply by q^k (k >= 0); precision window grows with the shift."""
+        k = _int(k, "q-shift")
         if k < 0:
             raise BadExponent("negative q-shift")
         return QYSeries({(n + k, r2): c for (n, r2), c in self._terms.items()},
@@ -246,6 +251,22 @@ class QYSeries:
         for (n, _), c in self._terms.items():
             out[n] += c
         return out
+
+
+def _int(value, what):
+    """value as an int by operator.index; SeriesError if it is not one."""
+    try:
+        return index(value)
+    except TypeError:
+        raise SeriesError("%s %r is not an integer" % (what, value)) from None
+
+
+def _truncation(value):
+    """A truncation as an int; BadExponent if it is below 1."""
+    value = _int(value, "truncation")
+    if value < 1:
+        raise BadExponent("truncation must be positive")
+    return value
 
 
 def _q_layers(series, trunc):
@@ -305,13 +326,12 @@ def _unpack(packed, size):
 def make_series(entries, truncation):
     """Build a canonical QYSeries from (n, r2, coeff) triples.
 
-    Duplicate keys are summed and zero coefficients dropped.  Every n,
-    r2 and coeff must be an int (SeriesError otherwise); entries of
-    mixed parity raise MixedParity, out-of-range q-exponents raise
-    BadExponent.
+    Duplicate keys are summed and zero coefficients dropped.  The
+    truncation and every n, r2 and coeff must be ints (SeriesError
+    otherwise); entries of mixed parity raise MixedParity, out-of-range
+    q-exponents raise BadExponent, as does a truncation below 1.
     """
-    if truncation < 1:
-        raise BadExponent("truncation must be positive")
+    truncation = _truncation(truncation)
     terms = {}
     parity = None
     for entry in entries:

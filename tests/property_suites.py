@@ -332,18 +332,45 @@ def bareiss_determinant(mat):
     return sign * M[n - 1][n - 1]
 
 
+def _block_triangular(rng, n):
+    """An n x n matrix shaped like the free-sector maps of
+    surjectivity_check: block lower triangular, each diagonal block a
+    signed permutation of size 1 to 4, sparse entries of mixed size
+    below the blocks; its determinant is +-1."""
+    mat = [[0] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = min(rng.randrange(1, 5), n - start)
+        for i, j in enumerate(rng.sample(range(size), size)):
+            mat[start + i][start + j] = rng.choice((1, -1))
+        for row in mat[start:start + size]:
+            for j in range(start):
+                if rng.random() < 0.3:
+                    row[j] = rng.randrange(-200, 201)
+        start += size
+    return mat
+
+
 def determinant_matches_bareiss(cases=1000, seed=20260825):
-    # sizes 0 to 6, sparse to dense, small to wide entries, so most
-    # pivots are not units; one case in five has a row that is a
-    # multiple of another, so it is singular
+    # two cases in three are 0x0 to 6x6, sparse to dense, small to wide
+    # entries, so most pivots are not units; the third is up to 20x20,
+    # block triangular (_block_triangular) and then with its rows
+    # shuffled, so that pivot rows move into place.  One case in five
+    # has a row that is a multiple of another, so it is singular
     rng = random.Random(seed)
     done = 0
-    for _ in range(cases):
-        n = rng.randrange(7)
-        density = rng.random()
-        mag = rng.choice((1, 9, 10 ** 6))
-        mat = [[rng.randrange(-mag, mag + 1) if rng.random() < density else 0
-                for _ in range(n)] for _ in range(n)]
+    for k in range(cases):
+        if k % 3 == 2:
+            n = rng.randrange(1, 21)
+            mat = _block_triangular(rng, n)
+            assert determinant(mat) == bareiss_determinant(mat) in (1, -1)
+            mat = rng.sample(mat, n)
+        else:
+            n = rng.randrange(7)
+            density = rng.random()
+            mag = rng.choice((1, 9, 10 ** 6))
+            mat = [[rng.randrange(-mag, mag + 1) if rng.random() < density
+                    else 0 for _ in range(n)] for _ in range(n)]
         if n > 1 and rng.random() < 0.2:
             i, j = rng.sample(range(n), 2)
             c = rng.randrange(-3, 4)

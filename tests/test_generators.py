@@ -211,6 +211,27 @@ def test_a_perturbed_generator_fails_its_identities(monkeypatch, name, n):
     assert {k for k, ok in report.items() if not ok} == IDENTITIES_OF[name]
 
 
+def test_b4_does_not_come_from_a_and_b2(monkeypatch):
+    # b4 = (b2^2 - E4 a^4)/24 would make the c4 line hold whatever a and
+    # b2 are; b4 comes from the theta squares, so with a and b2 each off
+    # at one q-term b4 is unchanged and the c4 line fails
+    expected = gen_b4(T)
+    for name in ("gen_a", "gen_b2"):
+        build = getattr(generators, name)
+
+        def off(N, build=build):
+            f = build(N)
+            return f + make_series([(1, f.parity, 1)], N)
+
+        monkeypatch.setattr(generators, name, off)
+    generators._xi_square_parts.cache_clear()
+    t = generators.GeneratorTable(T)
+    monkeypatch.setattr(generators, "generator_table", lambda N: t)
+    assert generators.gen_b4(T) == expected
+    assert t.a != gen_a(T) and t.b2 != gen_b2(T)
+    assert mf_embedding_report(T)["c4"] is False
+
+
 def test_generator_functions_match_table(tab):
     assert gen_a(T) == tab.a
     assert gen_b2(T) == tab.b2

@@ -46,6 +46,12 @@ def test_normal_form_refuses_non_integers(mono, coeff):
         normal_form({mono: coeff})
 
 
+def test_scale_refuses_non_integers():
+    # a float factor would leave a float coefficient
+    with pytest.raises(ValueError, match="factor 0.5 is not an integer"):
+        B2.scale(0.5)
+
+
 def test_degrees():
     assert monomial_degree((1, 0, 0, 0)) == 4
     assert monomial_degree((1, 2, 1, 1)) == 40

@@ -1,8 +1,8 @@
 import pytest
 
 from jfl.series import (BadExponent, MixedParity, NonDivisible, QYSeries,
-                        exact_divide, make_series, render_json_dict,
-                        render_text)
+                        SeriesError, exact_divide, make_series,
+                        render_json_dict, render_text)
 from jfl import series
 from property_suites import (dict_exact_divide, exact_divide_round_trips,
                              packed_product_matches_dict,
@@ -42,6 +42,31 @@ def test_make_series_exponent_validation():
         make_series([(-1, 0, 1)], truncation=3)
     with pytest.raises(BadExponent):
         make_series([], truncation=0)
+
+
+_F = make_series([(0, 0, 1), (1, 2, 3)], 3)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: _F.truncate(-2), BadExponent),
+    (lambda: _F.truncate(0), BadExponent),
+    (lambda: _F.truncate(2.0), SeriesError),
+    (lambda: make_series([(0, 0, 1)], 2.5), SeriesError),
+    (lambda: QYSeries.zero(-1), BadExponent),
+    (lambda: QYSeries.one(0), BadExponent),
+    (lambda: QYSeries.one(2.5), SeriesError),
+    (lambda: _F.scale(0.5), SeriesError),
+    (lambda: make_series([(0, 0, 2), (1, 2, 4)], 3).divide_exact(2.0),
+     SeriesError),
+    (lambda: _F.shift_q(1.5), SeriesError),
+], ids=["truncate-negative", "truncate-zero", "truncate-float",
+        "make-float-truncation", "zero-negative", "one-zero", "one-float",
+        "scale-float", "divide-float", "shift-float"])
+def test_numbers_are_read_as_ints(build, error):
+    # a truncation below 1 or a non-integral truncation, factor, divisor
+    # or shift would give a series no q-order fits or a non-int coefficient
+    with pytest.raises(error):
+        build()
 
 
 def test_zero_entries_dropped():

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from jfl import ring, spectral
-from jfl.lattice import (FPAbelianGroup, hermite_normal_form, in_row_span,
-                         invariant_factors, kernel_basis,
+from jfl.lattice import (FPAbelianGroup, determinant, hermite_normal_form,
+                         in_row_span, invariant_factors, kernel_basis,
                          solve_column_combination, transpose)
 from jfl.spectral import (BigradedPage, NotAComplex,
                           UnsupportedDegree, check_tjf_groups, compare_homotopy,
@@ -832,6 +832,22 @@ class TestSurjectivity:
         # the scoreboard workload runs surjectivity at 96
         monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "128")
         assert surjectivity_check(n, 96) == _oracle_surjectivity_check(n, 96)
+
+    def test_free_sector_determinants_match_bareiss(self, monkeypatch):
+        # every free-sector map of N = -1..2 through degree 64, as the
+        # check hands it to determinant, against the Bareiss oracle
+        sizes = []
+
+        def checked(mat):
+            det = determinant(mat)
+            assert det == bareiss_determinant(mat), mat
+            sizes.append(len(mat))
+            return det
+
+        monkeypatch.setattr(spectral, "determinant", checked)
+        for n in (-1, 0, 1, 2):
+            assert surjectivity_check(n, 64)["status"] == "ok"
+        assert (len(sizes), max(sizes)) == (128, 30)
 
     def test_builds_each_torsion_sector_once(self, monkeypatch):
         # the bijectivity verdict at (k + 1, 1) and the free and torsion
