@@ -129,20 +129,24 @@ def cmd_image(args):
     degree = check_guard(args.degree, "degree")
     from . import lattice, ring
     # raises ArithmeticError (exit 2) unless the certified lattice has a
-    # 2 at exactly the b2^(2m+1) b8^n, so the representatives count it
+    # 2 at exactly the b2^(2m+1) b8^n; the closed-form count of those
+    # monomials must then be the cokernel's number of Z/2
     coker = ring.cokernel(degree)
+    expected = ring.expected_torsion_rank(degree)
+    match = coker == lattice.FPAbelianGroup(0, (2,) * expected)
     reps = [ring.render_element_text(ring.normal_form({mono: 1}))
             for mono in ring.cokernel_representatives(degree)]
     payload = {"degree": degree,
                "cokernel": lattice.group_to_json(coker),
                "representatives": reps,
-               "expected_torsion_rank": len(reps),
-               "match": True}
+               "expected_torsion_rank": expected,
+               "match": match}
     lines = ["degree %d cokernel: %s" % (degree, coker)]
     if reps:
         lines.append("representatives: " + ", ".join(reps))
-    lines.append("expected torsion rank %d: ok" % len(reps))
-    return "ok", payload, [], "\n".join(lines)
+    lines.append("expected torsion rank %d: %s"
+                 % (expected, "ok" if match else "MISMATCH"))
+    return "ok" if match else "mismatch", payload, [], "\n".join(lines)
 
 
 def cmd_verify_all(args):

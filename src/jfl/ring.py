@@ -318,6 +318,12 @@ def cokernel_representatives(d):
     return [m for m in degree_basis(d) if m[0] % 2 and m[1] == m[2] == 0]
 
 
+def expected_torsion_rank(d):
+    """The number of b2^(2m+1) b8^n in degree d, in closed form: 8m + 4 +
+    16n = d has (d - 4) // 16 + 1 solutions when d = 4 mod 8, none else."""
+    return (d - 4) // 16 + 1 if d > 0 and d % 8 == 4 else 0
+
+
 # -- rendering ---------------------------------------------------------
 
 def _monomial_factors(mono):

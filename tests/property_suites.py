@@ -10,11 +10,13 @@ import random
 import pytest
 
 from jfl import ring, spectral
-from jfl.generators import generator_table, stabilizer_power
+from jfl.generators import generator_table
 from jfl.lattice import (determinant, hermite_normal_form, in_row_span,
                          kernel_basis, smith_normal_form,
                          solve_column_combination, transpose)
 from jfl.series import NonDivisible, QYSeries, exact_divide, make_series
+from oracles import (bareiss_determinant, d3_element, dict_exact_divide,
+                     dict_product, multiply, normalize)
 
 
 def random_series(rng, truncation, parity, max_terms=6):
@@ -24,81 +26,6 @@ def random_series(rng, truncation, parity, max_terms=6):
         r2 = 2 * rng.randrange(-4, 5) + parity
         entries.append((n, r2, rng.randrange(-9, 10)))
     return make_series(entries, truncation)
-
-
-def dict_product(f, g):
-    """The product as a double loop over the terms: the oracle for the
-    packed q-layer product in QYSeries.__mul__."""
-    trunc = min(f.truncation, g.truncation)
-    out = {}
-    for (n1, r1), c1 in f._terms.items():
-        if n1 >= trunc:
-            continue
-        for (n2, r2), c2 in g._terms.items():
-            n = n1 + n2
-            if n >= trunc:
-                continue
-            key = (n, r1 + r2)
-            v = out.get(key, 0) + c1 * c2
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return QYSeries(out, trunc)
-
-
-def _dict_laurent_div(num, den):
-    """Laurent division by descending degree over dicts, shifted to
-    ordinary polynomials and back; None if it leaves a remainder."""
-    min_n, min_d = min(num), min(den)
-    R = {e - min_n: c for e, c in num.items()}
-    G = {e - min_d: c for e, c in den.items()}
-    deg_g = max(G)
-    quot = {}
-    while R:
-        deg_r = max(R)
-        c, rem = divmod(R[deg_r], G[deg_g])
-        if deg_r < deg_g or rem:
-            return None
-        quot[deg_r - deg_g + min_n - min_d] = c
-        for eg, cg in G.items():
-            e = deg_r - deg_g + eg
-            v = R.get(e, 0) - c * cg
-            if v:
-                R[e] = v
-            else:
-                R.pop(e, None)
-    return quot
-
-
-def dict_exact_divide(f, g):
-    """The quotient h with g h = f layer by layer, each residue
-    f_(k+m) - sum h_i g_(k+m-i) a dict double loop: the oracle for the
-    packed convolution in exact_divide.  Raises NonDivisible where
-    exact_divide must."""
-    trunc = min(f.truncation, g.truncation)
-    f_layers, g_layers = ([{r2: c for (n, r2), c in src._terms.items() if n == k}
-                           for k in range(trunc)] for src in (f, g))
-    m = min((n for n, _ in g._terms), default=trunc)
-    if m >= trunc or any(f_layers[:m]):
-        raise NonDivisible("no quotient")
-    h_layers = []
-    for k in range(trunc - m):
-        residue = dict(f_layers[k + m])
-        for i, h_i in enumerate(h_layers):
-            for e1, c1 in h_i.items():
-                for e2, c2 in g_layers[k + m - i].items():
-                    v = residue.get(e1 + e2, 0) - c1 * c2
-                    if v:
-                        residue[e1 + e2] = v
-                    else:
-                        residue.pop(e1 + e2, None)
-        h_k = _dict_laurent_div(residue, g_layers[m]) if residue else {}
-        if h_k is None:
-            raise NonDivisible("remainder in layer %d" % k)
-        h_layers.append(h_k)
-    terms = {(k, e): c for k, h_k in enumerate(h_layers) for e, c in h_k.items()}
-    return QYSeries(terms, trunc - m)
 
 
 def _assert_same_product(f, g):
@@ -306,32 +233,6 @@ def normal_form_homomorphism(cases=1000, seed=20260820):
     return done
 
 
-def bareiss_determinant(mat):
-    """Bareiss fraction-free determinant of a square integer matrix: the
-    oracle for the sparse Euclidean elimination in lattice.determinant."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    M = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
 def _block_triangular(rng, n):
     """An n x n matrix shaped like the free-sector maps of
     surjectivity_check: block lower triangular, each diagonal block a
@@ -499,103 +400,6 @@ def hnf_postconditions(cases=1000, seed=20261021):
         assert hermite_normal_form(rows, n) == hnf
         done += 1
     return done
-
-
-def normalize(page, terms):
-    """Canonical page element from (coeff, {name: exp}) terms: the page
-    arithmetic over Z that the F2 d3 columns are tested against.
-
-    Applies square rewrites, kills h1-torsion products with the
-    annihilated generators, and reduces h1-sector coefficients mod 2.
-    """
-    acc = {}
-    stack = [(c, dict(m)) for c, m in terms]
-    while stack:
-        c, m = stack.pop()
-        if not c:
-            continue
-        over = None
-        for name, e in m.items():
-            if e >= 2 and name in page.spec.rewrite_rules:
-                over = name
-                break
-        if over is not None:
-            rule = page.spec.rewrite_rules[over]
-            base = dict(m)
-            base[over] -= 2
-            if base[over] == 0:
-                del base[over]
-            for rc, rm in rule:
-                nm = dict(base)
-                for n2, e2 in rm.items():
-                    nm[n2] = nm.get(n2, 0) + e2
-                stack.append((c * rc, nm))
-            continue
-        torsion = m.get("h1")
-        if torsion:
-            if any(m.get(k) for k in page.spec.torsion_killers):
-                continue
-            c %= 2
-            if not c:
-                continue
-        key = page.key(m)
-        acc[key] = acc.get(key, 0) + c
-        if torsion:
-            acc[key] %= 2
-        if acc[key] == 0:
-            del acc[key]
-    return acc
-
-
-def d3_monomial(page, key):
-    """Signed Leibniz extension of the generator rule to a monomial, over
-    Z through normalize: the oracle for BigradedPage.d3_columns."""
-    out = []
-    prefix_degree = 0
-    for name, e in key:
-        w = page._degree[name]
-        rule = page.spec.d3.get(name)
-        if rule:
-            # sum of (-1)^(j w) over which copy j < e is differentiated
-            inner = e if w % 2 == 0 else e % 2
-            sign = (-1) ** prefix_degree
-            rest = dict(key)
-            rest[name] = e - 1
-            for rc, rm in rule:
-                m = {k: v for k, v in rest.items() if v}
-                for n2, e2 in rm.items():
-                    m[n2] = m.get(n2, 0) + e2
-                out.append((sign * inner * rc, m))
-        prefix_degree += w * e
-    return normalize(page, out)
-
-
-def d3_element(page, x):
-    """d3 of the page element x, a {mono_key: coeff} map, with integer
-    coefficients: the oracle that the F2 columns of
-    BigradedPage.d3_matrix and the surjectivity check are tested
-    against."""
-    acc = {}
-    for key, c in x.items():
-        for k2, c2 in d3_monomial(page, key).items():
-            acc[k2] = acc.get(k2, 0) + c * c2
-            if not acc[k2]:
-                del acc[k2]
-    return normalize(page, [(c, dict(k)) for k, c in acc.items()])
-
-
-def multiply(page, x, y):
-    """Product of page elements given as {mono_key: coeff} maps, through
-    the page's normalize: the page product that the signed-Leibniz suite
-    and the surjectivity oracle use."""
-    terms = []
-    for k1, c1 in x.items():
-        for k2, c2 in y.items():
-            m = dict(k1)
-            for n2, e2 in k2:
-                m[n2] = m.get(n2, 0) + e2
-            terms.append((c1 * c2, m))
-    return normalize(page, terms)
 
 
 def _spectral_pages():

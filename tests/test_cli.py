@@ -8,6 +8,7 @@ from jfl import generators, genus, ring, spectral, suite
 from jfl.cli import main
 from jfl.lattice import FPAbelianGroup
 from jfl.spectral import DEVIATIONS
+from oracles import crooked_images
 
 
 @pytest.fixture
@@ -150,10 +151,7 @@ def test_surjectivity_json_carries_deviations(run):
 
 
 def test_surjectivity_mismatch_exit_code(run, monkeypatch):
-    def crooked(n_param):
-        return {"B2": ring.B2, "B3": ring.B3,
-                "B4": ring.B4.scale(-2), "C8": -ring.B8}
-    monkeypatch.setattr(spectral, "_substitution_images", crooked)
+    monkeypatch.setattr(spectral, "_substitution_images", crooked_images)
     code, out = run(["surjectivity", "--n-param", "0", "--max-degree", "12"])
     assert code == 1
     assert out.startswith("mismatch at degree 8 filtration 0")
@@ -166,6 +164,22 @@ def test_image_degree20(run):
         "degree 20 cokernel: Z/2 + Z/2",
         "representatives: b2^5, b2*b8",
         "expected torsion rank 2: ok",
+    ]
+
+
+def _one_z2(degree):
+    # a cokernel one Z/2 short of the two b2^(2m+1) b8^n in degree 20
+    return FPAbelianGroup(0, (2,))
+
+
+def test_image_compares_the_closed_form_with_the_cokernel(run, monkeypatch):
+    monkeypatch.setattr(ring, "cokernel", _one_z2)
+    code, out = run(["image", "--degree", "20"])
+    assert code == 1
+    assert out.splitlines() == [
+        "degree 20 cokernel: Z/2",
+        "representatives: b2^5, b2*b8",
+        "expected torsion rank 2: MISMATCH",
     ]
 
 
@@ -321,11 +335,6 @@ def test_unwritable_stdout_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def _crooked_images(n_param):
-    return {"B2": ring.B2, "B3": ring.B3,
-            "B4": ring.B4.scale(-2), "C8": -ring.B8}
-
-
 def _key_error(*args):
     raise KeyError("B9")
 
@@ -354,8 +363,11 @@ ENVELOPES = {
     "surjectivity mismatch": (
         ["surjectivity", "--n-param", "0", "--max-degree", "8"],
         lambda mp: mp.setattr(spectral, "_substitution_images",
-                              _crooked_images), 1, DEVIATIONS),
+                              crooked_images), 1, DEVIATIONS),
     "image": (["image", "--degree", "8"], None, 0, []),
+    "image mismatch": (
+        ["image", "--degree", "20"],
+        lambda mp: mp.setattr(ring, "cokernel", _one_z2), 1, []),
     "image unexpected exception": (
         ["image", "--degree", "8"],
         lambda mp: mp.setattr(ring, "cokernel", _key_error), 2, []),

@@ -13,7 +13,8 @@ from jfl.generators import (CALIBRATION, discriminant, eisenstein_c4,
 from jfl.series import (BadExponent, QYSeries, exact_divide, make_series,
                         render_json_dict)
 from jfl.spectral import DEFAULT_MAX_DEGREE_GUARD
-from property_suites import dict_product
+from oracles import (dict_product, divisor_power_sum, q_product,
+                     theta_block_oracle, xi_square_oracle)
 
 T = 9  # window wide enough for every identity pinned below
 
@@ -118,25 +119,10 @@ def test_calibration_record():
     assert CALIBRATION == {"a_branch": "+", "a_square_sign": -1}
 
 
-def _divisor_power_sum(n, k):
-    """sigma_k(n) by trial division up to sqrt(n): the oracle for the
-    divisor sieve in the Eisenstein series."""
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d ** k
-            e = n // d
-            if e != d:
-                total += e ** k
-        d += 1
-    return total
-
-
 @pytest.mark.parametrize("build, k, factor", [(eisenstein_c4, 3, 240),
                                               (eisenstein_c6, 5, -504)])
 def test_eisenstein_sieve_matches_trial_division(build, k, factor):
-    want = make_series([(0, 0, 1)] + [(n, 0, factor * _divisor_power_sum(n, k))
+    want = make_series([(0, 0, 1)] + [(n, 0, factor * divisor_power_sum(n, k))
                                       for n in range(1, 130)], 130)
     assert build(130) == want
     assert build(1) == QYSeries.one(1)
@@ -317,28 +303,7 @@ def test_truncation_respected():
         t.b2.q_layer(2)
 
 
-# -- the product formulas the lacunary sums replaced, as an oracle -----
-
-def _product(N, factors):
-    # prod (1 + s q^n y^(r2/2)) over the (n, r2, s) factors
-    acc = QYSeries.one(N)
-    for n, r2, s in factors:
-        acc = acc * make_series([(0, 0, 1), (n, r2, s)], N)
-    return acc
-
-
-def _oracle_theta_block(k, N):
-    # (y^{k/2} - y^{-k/2}) prod (1-q^n)(1-q^n y^k)(1-q^n y^{-k})
-    return make_series([(0, k, 1), (0, -k, -1)], N) * _product(
-        N, [(n, r2, -1) for n in range(1, N) for r2 in (0, 2 * k, -2 * k)])
-
-
-def _oracle_xi_square(M, orders, sign, front):
-    # front * (prod (1 + sign Q^j y^{+-1}) / prod (1 + sign Q^j)^2)^2
-    num = _product(M, [(j, r2, sign) for j in orders for r2 in (2, -2)])
-    den = _product(M, [(j, 0, sign) for j in orders])
-    return front * exact_divide(num * num, den ** 4)
-
+# -- the lacunary sums against their product formulas ------------------
 
 def _stretch(f):
     # q^n -> Q^(2n)
@@ -350,16 +315,16 @@ def _stretch(f):
 @pytest.mark.parametrize("N", [1, 13, 33])
 def test_lacunary_sums_match_product_formulas(N):
     M = 2 * N
-    blocks = {k: _oracle_theta_block(k, N) for k in (1, 2, 3)}
-    eta3 = _product(N, [(n, 0, -1) for n in range(1, N) for _ in range(3)])
+    blocks = {k: theta_block_oracle(k, N) for k in (1, 2, 3)}
+    eta3 = q_product(N, [(n, 0, -1) for n in range(1, N) for _ in range(3)])
     assert generators._eta_cubed(N) == eta3
     for k, block in blocks.items():
         assert generators._theta_block(k, N) == block
     odd, even = range(1, M, 2), range(2, M, 2)
     A, B, C = parts = (
-        _oracle_xi_square(M, odd, 1, 4),
-        _oracle_xi_square(M, odd, -1, 4),
-        _oracle_xi_square(M, even, 1, make_series([(0, 2, 1), (0, 0, 2),
+        xi_square_oracle(M, odd, 1, 4),
+        xi_square_oracle(M, odd, -1, 4),
+        xi_square_oracle(M, even, 1, make_series([(0, 2, 1), (0, 0, 2),
                                                    (0, -2, 1)], M)))
     E, O, C_part = generators._xi_square_parts(N)
     assert (E + O, E - O, C_part) == parts

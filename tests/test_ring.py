@@ -1,15 +1,15 @@
-from functools import lru_cache
-
 import pytest
 
 from jfl import ring
 from jfl.generators import generator_table, stabilizer_power
 from jfl.ring import (B2, B3, B4, B8, IMAGE_GENERATORS, ONE, Inhomogeneous,
                       JFElement, cokernel, cokernel_representatives,
-                      degree_basis, element_coords, eval_series, image_basis,
-                      in_image, monomial_degree, normal_form,
-                      render_element_json, render_element_text)
-from jfl.lattice import FPAbelianGroup, hermite_normal_form
+                      degree_basis, element_coords, eval_series,
+                      expected_torsion_rank, image_basis, in_image,
+                      monomial_degree, normal_form, render_element_json,
+                      render_element_text)
+from jfl.lattice import FPAbelianGroup
+from oracles import from_coords, image_lattice_oracle
 from property_suites import normal_form_homomorphism
 
 
@@ -82,7 +82,7 @@ def test_coords_round_trip():
     x = normal_form({(2, 0, 0, 0): 5, (0, 0, 1, 0): -3})
     vec = element_coords(x, 8)
     assert vec == [5, -3]
-    assert _from_coords(vec, 8) == x
+    assert from_coords(vec, 8) == x
     with pytest.raises(Inhomogeneous):
         element_coords(B2, 8)
 
@@ -142,39 +142,10 @@ def test_image_basis_degree4():
     assert image_basis(4) == [[2]]
 
 
-def _from_coords(vec, d):
-    """The degree-d element with coordinates vec in degree_basis(d)."""
-    return JFElement({m: c for m, c in zip(degree_basis(d), vec) if c})
-
-
-@lru_cache(maxsize=None)
-def _image_lattice_oracle(d):
-    """HNF rows spanning the degree-d piece of the subring generated by
-    the seven image generators, in degree_basis(d) coordinates."""
-    if d == 0:
-        return ([1],)
-    basis = degree_basis(d)
-    if not basis:
-        return ()
-    index = {m: i for i, m in enumerate(basis)}
-    rows = []
-    for gen in IMAGE_GENERATORS:
-        dg = gen.degree()
-        if dg > d:
-            continue
-        for sub_row in _image_lattice_oracle(d - dg):
-            elem = gen * _from_coords(sub_row, d - dg)
-            vec = [0] * len(basis)
-            for m, c in elem.coeffs.items():
-                vec[index[m]] = c
-            rows.append(vec)
-    return tuple(tuple(r) for r in hermite_normal_form(rows, len(basis)))
-
-
 def test_image_basis_matches_the_hnf_oracle():
     # the certified diagonal against the HNF of all generator products
     for d in range(0, 129, 2):
-        assert image_basis(d) == [list(r) for r in _image_lattice_oracle(d)], d
+        assert image_basis(d) == [list(r) for r in image_lattice_oracle(d)], d
 
 
 # the full message of each broken generator set below, by failing degree
@@ -207,6 +178,12 @@ def test_cokernel_pins():
     c20 = cokernel(20)
     assert c20.rank == 0 and c20.torsion == (2, 2)
     assert cokernel_representatives(20) == [(5, 0, 0, 0), (1, 0, 0, 1)]
+
+
+def test_expected_torsion_rank_counts_the_representatives():
+    # the closed form (d - 4) // 16 + 1 at d = 4 mod 8, else 0
+    for d in range(257):
+        assert expected_torsion_rank(d) == len(cokernel_representatives(d)), d
 
 
 def test_functional_wrappers():

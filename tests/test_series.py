@@ -4,7 +4,8 @@ from jfl.series import (BadExponent, MixedParity, NonDivisible, QYSeries,
                         SeriesError, exact_divide, make_series,
                         render_json_dict, render_text)
 from jfl import series
-from property_suites import (dict_exact_divide, exact_divide_round_trips,
+from oracles import dict_exact_divide
+from property_suites import (exact_divide_round_trips,
                              packed_product_matches_dict,
                              packed_quotient_matches_dict, packed_width_edges,
                              series_ring_axioms)

@@ -5,17 +5,18 @@ import pytest
 
 from jfl import ring, spectral
 from jfl.lattice import (FPAbelianGroup, determinant, hermite_normal_form,
-                         in_row_span, invariant_factors, kernel_basis,
-                         solve_column_combination, transpose)
+                         in_row_span, kernel_basis)
 from jfl.spectral import (BigradedPage, NotAComplex,
                           UnsupportedDegree, check_tjf_groups, compare_homotopy,
                           expected_tjf_group,
                           free_kernel_lattice, group_to_json, homology_at,
                           homotopy_groups, msu_page, msu_sub_page,
                           preimage_lattice, surjectivity_check, tjf_page)
-from property_suites import (bareiss_determinant, d3_element, d3_monomial,
-                             d3_squared_zero, multiply, normalize,
-                             signed_leibniz)
+from oracles import (bareiss_determinant, basis_oracle, crooked_images,
+                     d3_element, d3_monomial, homology_at_oracle,
+                     homotopy_groups_oracle, msu_group, normalize, page_map,
+                     surjectivity_check_oracle)
+from property_suites import d3_squared_zero, signed_leibniz
 
 
 class TestHomologyAt:
@@ -150,51 +151,11 @@ def test_homotopy_groups_pinned_list():
     ]
 
 
-def _oracle_homology_at(page, d, s):
-    """homology_at before the page kept its kernel lattices: K and the
-    rows 2e_i built afresh at every bidegree, and every relation solved
-    in K coordinates by one Smith form."""
-    if s == 0:
-        return FPAbelianGroup(page.free_count(d))
-    m = len(page.basis(d, s))
-    if m == 0:
-        return FPAbelianGroup(0)
-    d_out = page.d3_matrix(d, s)
-    relations = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
-    if s >= 3:
-        incoming = dict.fromkeys(spectral._free_incoming(page, d) if s == 3
-                                 else page.d3_matrix(d + 1, s - 3))
-        incoming.pop(0, None)
-        if any(spectral._mod2_product(d_out, incoming)):
-            raise NotAComplex("d3 o d3 is nonzero from (%d, %d)"
-                              % (d + 1, s - 3))
-        relations += [[(col >> i) & 1 for i in range(m)] for col in incoming]
-    kbasis = preimage_lattice(d_out)
-    rows = solve_column_combination(transpose(kbasis), relations)
-    if any(y is None for y in rows):
-        raise NotAComplex("image vector falls outside the kernel lattice")
-    return FPAbelianGroup.from_presentation(len(kbasis), rows)
-
-
-def _homotopy_groups_oracle(page, max_degree):
-    """homotopy_groups before it shared torsion sectors and kernel
-    lattices: the oracle homology summed at every bidegree."""
-    out = {}
-    for n in range(max_degree + 1):
-        rank, torsion = 0, []
-        for s in range(n + 1):
-            h = _oracle_homology_at(page, n, s)
-            rank += h.rank
-            torsion.extend(h.torsion)
-        out[n] = FPAbelianGroup(rank, invariant_factors(torsion))
-    return out
-
-
 @pytest.mark.parametrize("page_of", [tjf_page, msu_page])
 def test_homotopy_groups_match_the_per_bidegree_oracle(page_of):
     guard = spectral.DEFAULT_MAX_DEGREE_GUARD
     page = page_of(guard)
-    assert homotopy_groups(page) == _homotopy_groups_oracle(page, guard)
+    assert homotopy_groups(page) == homotopy_groups_oracle(page, guard)
 
 
 def test_homotopy_groups_compute_each_sector_key_once(monkeypatch):
@@ -242,43 +203,12 @@ def test_expected_tjf_group_pins():
     assert expected_tjf_group(25) == FPAbelianGroup(0, (2, 2))
 
 
-def _enumerate_oracle(page, names, d):
-    # the recursive enumeration the memoized one replaced
-    if d == 0:
-        return [{}]
-    if d < 0 or not names:
-        return []
-    name, rest = names[0], names[1:]
-    w = page._degree[name]
-    cap = 1 if name in page.spec.rewrite_rules else d // w
-    out = []
-    for e in range(min(cap, d // w) + 1):
-        for tail in _enumerate_oracle(page, rest, d - e * w):
-            if e:
-                tail = dict(tail)
-                tail[name] = e
-            out.append(tail)
-    return out
-
-
-def _basis_oracle(page, d, s):
-    if s == 0:
-        exps = _enumerate_oracle(page, page.free_names, d)
-    else:
-        exps = [dict(e, h1=s) for e in
-                _enumerate_oracle(page, page.survivor_names, d - s)]
-    names = ["h1"] + [g.name for g in page.spec.generators]
-    # basis order: exponents descending, generator by generator
-    exps.sort(key=lambda x: [-x.get(n, 0) for n in names])
-    return tuple(tuple((n, x[n]) for n in names if x.get(n)) for x in exps)
-
-
 @pytest.mark.parametrize("page_of", [tjf_page, msu_page])
 def test_basis_matches_recursive_enumeration(page_of):
     page = page_of(spectral.DEFAULT_MAX_DEGREE_GUARD)
     for d in range(page.max_degree + 1):
         for s in range(d + 1):
-            assert page.basis(d, s) == _basis_oracle(page, d, s), (d, s)
+            assert page.basis(d, s) == basis_oracle(page, d, s), (d, s)
 
 
 @pytest.mark.parametrize("page_of, max_degree",
@@ -300,6 +230,55 @@ def test_free_count_is_the_basis_size(page_of, max_degree, monkeypatch):
     assert page.free_count(-1) == 0
     for d in range(max_degree + 1):
         assert page.free_count(d) == len(page.basis(d, 0)), d
+
+
+def _free_ranks_off_conner_floyd(page):
+    # the degrees where the page's free count is not msu_group's rank
+    return [n for n in range(page.max_degree + 1)
+            if page.free_count(n) != msu_group(n)[0]]
+
+
+def test_msu_free_rank_is_conner_floyd_through_4096(monkeypatch):
+    # the free half of the generating-function identity: each ruled B_2n
+    # comes with C_4n, so the free generators count the partitions without
+    # ones, read from the knapsack with no basis and no lattice.  Without
+    # C16 (degree 32) the count falls short from degree 32 on
+    monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "4096")
+    assert _free_ranks_off_conner_floyd(msu_page(4096)) == []
+    spec = msu_page(64).spec
+    without_c16 = BigradedPage(spec._replace(generators=tuple(
+        g for g in spec.generators if g.name != "C16")))
+    assert _free_ranks_off_conner_floyd(without_c16)[0] == 32
+
+
+def test_tjf_free_count_is_the_ring_basis_size(monkeypatch):
+    monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "512")
+    page = tjf_page(512)
+    for n in range(513):
+        assert page.free_count(n) == len(ring.degree_basis(n)), n
+
+
+@pytest.mark.parametrize("page_of, max_degree",
+                         [(tjf_page, 128), (msu_page, 96)])
+def test_d3_is_a_partial_matching_with_diagonal_kernel_lattices(
+        page_of, max_degree, monkeypatch):
+    # over F2 each d3 matrix sends a monomial to at most one monomial, and
+    # no two to the same one; so the kernel lattice of a torsion d3 matrix
+    # is diagonal, 2 at a nonzero column and 1 at a zero one
+    monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "128")
+    page = page_of(max_degree)
+    torsion = set()
+    for d in range(max_degree + 1):
+        for s in range(d + 1):
+            bits = [c for c in page.d3_matrix(d, s) if c]
+            assert all(c & (c - 1) == 0 for c in bits), (d, s)
+            assert len(set(bits)) == len(bits), (d, s)
+            if s:
+                torsion.add(page.d3_matrix(d, s))
+    for columns in torsion:
+        assert preimage_lattice(columns) == [
+            [(2 if c else 1) if i == j else 0 for j in range(len(columns))]
+            for i, c in enumerate(columns)], columns
 
 
 @pytest.mark.parametrize("page_of, max_degree",
@@ -390,7 +369,7 @@ def test_homology_at_matches_the_oracle(page_of, max_degree):
     for n in range(max_degree + 1):
         for s in range(1, n + 1):
             assert (_homology_or_error(homology_at, page, n, s)
-                    == _homology_or_error(_oracle_homology_at, fresh, n, s)), (n, s)
+                    == _homology_or_error(homology_at_oracle, fresh, n, s)), (n, s)
 
 
 @pytest.mark.parametrize("page_of, max_degree", [
@@ -443,17 +422,6 @@ def test_d3_targets_must_be_h1_cubed_times_uncapped_survivors(target):
         BigradedPage(spec._replace(d3={"b2": ((1, target),)}))
 
 
-def _partition_count(k):
-    # p(k), counting partitions part size by part size; p(k) = 0 for k < 0
-    if k < 0:
-        return 0
-    ways = [1] + [0] * k
-    for part in range(1, k + 1):
-        for n in range(part, k + 1):
-            ways[n] += ways[n - part]
-    return ways[k]
-
-
 class TestMsuPage:
     def test_generator_roster(self):
         page = msu_page(16)
@@ -487,15 +455,8 @@ class TestMsuPage:
         assert len(rows) == max_degree + 1
         assert all(set(r["torsion"]) <= {2} for r in rows)
         got = [[r["n"], r["rank"], len(r["torsion"])] for r in rows]
-        # the classical closed form (Conner-Floyd 1966; Stong 1968, ch. X):
-        # rank = #partitions of m without ones, p(m) - p(m - 1), in degree
-        # 2m, and (Z/2)^p(k) in degrees 8k + 1 and 8k + 2, no torsion
-        # elsewhere
-        assert got == [
-            [n, 0 if n % 2 else
-             _partition_count(n // 2) - _partition_count(n // 2 - 1),
-             _partition_count(n // 8) if n % 8 in (1, 2) else 0]
-            for n in range(len(rows))]
+        # the classical closed form (Conner-Floyd), msu_group
+        assert got == [[n, *msu_group(n)] for n in range(len(rows))]
         if max_degree == spectral.DEFAULT_MAX_DEGREE_GUARD:
             assert sum(g[1] for g in got) == 8349
             assert sum(g[2] for g in got) == 90
@@ -553,102 +514,10 @@ def test_deviations_are_what_the_tables_need(page_of, expected_of, even_killer,
     assert mismatches[9] == (FPAbelianGroup(0, (2, 2)), FPAbelianGroup(0, (2,)))
 
 
-def _bidegree_failure(sub, target, phi, d, s):
-    """The per-monomial check that surjectivity_check replaced, kept as
-    its oracle: why phi_N fails on (d, s), where both bases share a
-    nonzero size, or None.  The matrix over target.basis(d, s) needs
-    determinant +-1 (free) or odd (torsion), and d3 phi(m) = phi(d3 m)
-    for each m."""
-    src = sub.basis(d, s)
-    index = {m: i for i, m in enumerate(target.basis(d, s))}
-    images = [phi({m: 1}) for m in src]
-    matrix = [[0] * len(src) for _ in index]
-    for j, image in enumerate(images):
-        for key, c in image.items():
-            matrix[index[key]][j] = c
-    det = bareiss_determinant(matrix)
-    if s == 0 and det not in (1, -1):
-        return "free-sector determinant %d" % det
-    if s and det % 2 == 0:
-        return "torsion-sector map not bijective mod 2"
-    if any(d3_element(target, image) != phi(d3_monomial(sub, m))
-           for m, image in zip(src, images)):
-        return "differential does not commute"
-    return None
-
-
-def _page_map(target, images):
-    """phi_N into target-page elements through page arithmetic, the
-    oracle's phi, independent of the ring products surjectivity_check
-    uses: a monomial goes to the target page's product of its factors'
-    images, and its one normalize serves every sector.  A free monomial's
-    image is built once, from the one with one factor fewer; h1^s m goes
-    to h1^s times the image of m."""
-    page_key = spectral._page_key()
-    gens = {name: {page_key(m): c for m, c in x.coeffs.items()}
-            for name, x in images.items()}
-    free = {(): {(): 1}}
-
-    def free_image(key):
-        if key not in free:
-            name, e = key[-1]
-            rest = key[:-1] + (((name, e - 1),) if e > 1 else ())
-            free[key] = multiply(target, free_image(rest), gens[name])
-        return free[key]
-
-    def phi(x):
-        terms = []
-        for key, c in x.items():
-            s = key[0][1] if key and key[0][0] == "h1" else 0
-            terms.extend((c * c2, dict(k, h1=s))
-                         for k, c2 in free_image(key[1:] if s else key).items())
-        return normalize(target, terms)
-
-    return phi
-
-
-def _oracle_surjectivity_check(n_param, max_degree, page_map=_page_map):
-    """surjectivity_check as it was: every bidegree on its own, with phi_N
-    from page_map."""
-    sub = spectral.msu_sub_page(max_degree)
-    target = tjf_page(max_degree)
-    phi = page_map(target, spectral._substitution_images(n_param))
-    rules = [(2 * g.degree, g.name, sub.spec.rewrite_rules[g.name])
-             for g in sub.spec.generators if g.name in sub.spec.rewrite_rules]
-    checked, failure = 0, None
-    for d, s in ((d, s) for d in range(max_degree + 1) for s in range(d + 1)):
-        src, dst = sub.basis(d, s), target.basis(d, s)
-        broken = [name for rd, name, rule in rules if (rd, 0) == (d, s)
-                  and phi({((name, 2),): 1})
-                  != phi({sub.key(m): c for c, m in rule})]
-        if broken:
-            reason = "substitution breaks the rewrite rule of " + ", ".join(broken)
-        elif len(src) != len(dst):
-            reason = "basis sizes %d vs %d" % (len(src), len(dst))
-        elif not src:
-            continue
-        else:
-            checked += 1
-            reason = _bidegree_failure(sub, target, phi, d, s)
-        if reason:
-            failure = {"degree": d, "filtration": s, "reason": reason}
-            break
-    return {"status": "mismatch" if failure else "ok",
-            "n_param": n_param,
-            "max_degree": max_degree,
-            "bidegrees_checked": checked,
-            "first_failure": failure}
-
-
 _right_images = spectral._substitution_images
 _right_sub_page = spectral.msu_sub_page
 _right_msu_page = spectral.msu_page
 _right_torsion_columns = spectral._torsion_columns
-
-
-def _crooked_images(n_param):
-    return {"B2": ring.B2, "B3": ring.B3, "B4": ring.B4.scale(-2),
-            "C8": -ring.B8}
 
 
 def _opposite_c8_sign(n_param):
@@ -678,7 +547,7 @@ def _sub_page_where_b3_survives_h1(max_degree):
 
 def _page_map_without_torsion(target, images):
     # phi_N with every h1 term of its argument dropped
-    phi = _page_map(target, images)
+    phi = page_map(target, images)
     return lambda x: phi({k: c for k, c in x.items() if not dict(k).get("h1")})
 
 
@@ -696,7 +565,7 @@ def _page_map_with_a_torsion_twist(target, images):
     # so the sector stays bijective.  d3 of it is h1^(s+3) b2^4 mod 2,
     # which phi(d3 (h1^s B2 C8)) = phi(h1^(s+3) C8) lacks: first met at
     # (21, 1), after every free sector below it has passed
-    phi = _page_map(target, images)
+    phi = page_map(target, images)
 
     def twisted(x):
         terms = [(c, dict(k)) for k, c in phi(x).items()]
@@ -721,7 +590,7 @@ def _torsion_columns_with_a_twist(sub, target, image, k):
 
 # (name in spectral, replacement) per broken case
 BROKEN = {
-    "crooked substitution": ("_substitution_images", _crooked_images),
+    "crooked substitution": ("_substitution_images", crooked_images),
     "opposite C8 sign": ("_substitution_images", _opposite_c8_sign),
     "sub page without d3": ("msu_sub_page", _sub_page_without_d3),
     "sub page without C8": ("msu_sub_page", _sub_page_without_c8),
@@ -784,7 +653,7 @@ class TestSurjectivity:
         report = surjectivity_check(1, 32)
         assert report["status"] == "mismatch"
         assert report["first_failure"] == failure
-        assert report == _oracle_surjectivity_check(1, 32)
+        assert report == surjectivity_check_oracle(1, 32)
 
     def test_holds_for_small_parameters(self):
         for n in (-1, 0, 1, 2):
@@ -825,13 +694,13 @@ class TestSurjectivity:
     def test_reports_match_the_per_monomial_oracle(self, max_degree):
         for n in range(-3, 4):
             assert (surjectivity_check(n, max_degree)
-                    == _oracle_surjectivity_check(n, max_degree)), n
+                    == surjectivity_check_oracle(n, max_degree)), n
 
     @pytest.mark.parametrize("n", [-3, 2])
     def test_matches_the_oracle_at_the_benchmark_degree(self, monkeypatch, n):
         # the scoreboard workload runs surjectivity at 96
         monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "128")
-        assert surjectivity_check(n, 96) == _oracle_surjectivity_check(n, 96)
+        assert surjectivity_check(n, 96) == surjectivity_check_oracle(n, 96)
 
     def test_free_sector_determinants_match_bareiss(self, monkeypatch):
         # every free-sector map of N = -1..2 through degree 64, as the
@@ -868,11 +737,11 @@ class TestSurjectivity:
     def test_broken_cases_match_the_per_monomial_oracle(self, monkeypatch,
                                                         case):
         monkeypatch.setattr(spectral, *BROKEN[case])
-        page_map = ORACLE_PAGE_MAP.get(case, _page_map)
+        oracle_map = ORACLE_PAGE_MAP.get(case, page_map)
         for n in (0, 1):
             report = surjectivity_check(n, 32)
             assert report["status"] == "mismatch"
-            assert report == _oracle_surjectivity_check(n, 32, page_map), n
+            assert report == surjectivity_check_oracle(n, 32, oracle_map), n
 
     def test_detects_a_broken_substitution(self, monkeypatch):
         monkeypatch.setattr(spectral, *BROKEN["crooked substitution"])
@@ -963,7 +832,7 @@ def test_torsion_sectors_depend_on_d_minus_s_only(page_of):
 def test_phi_columns_depend_on_d_minus_s_only():
     sub, target = msu_sub_page(64), tjf_page(64)
     for n in range(-3, 4):
-        phi = _page_map(target, spectral._substitution_images(n))
+        phi = page_map(target, spectral._substitution_images(n))
         for k in range(61):
             columns = set()
             for s in range(1, 5):
