@@ -12,8 +12,8 @@ theta_01(Q) = theta_00(-Q), the theta_01 square is the theta_00 square
 with its odd Q-orders negated.
 
 `generator_table(T)` caches one GeneratorTable per truncation, and the
-table builds each generator on first access, only through its public
-builder (`gen_a` ... `gen_b8`): `expand --gen a` builds a alone.  b2
+table builds each generator on first access, found by its public
+builder's name (`gen_a` ... `gen_b8`): `expand --gen a` builds a alone.  b2
 and b4 of one truncation share the theta squares through one small
 cache on `_xi_square_parts`.  The table also keeps the generator
 squares and b2 b3^2, which the identity checks share.
@@ -149,13 +149,22 @@ class GeneratorTable:
     """The five generators to one truncation, each built on first access.
 
     Equality and hash follow the truncation alone, which determines
-    every series.  Each generator comes from its gen_* builder, looked up
-    as a module global; the identity checks share the squares of the
-    generators (`square`) and b2 b3^2 (`b2_b3_square`).
+    every series.  The table finds a generator by its builder's name:
+    `table.b2` calls the module global gen_b2 once and keeps the result;
+    a name with no gen_* builder raises AttributeError.  The identity
+    checks share the squares of the generators (`square`) and b2 b3^2
+    (`b2_b3_square`).
     """
 
     def __init__(self, truncation):
         self.__dict__.update(truncation=truncation, _squares={})
+
+    def __getattr__(self, name):
+        build = globals().get("gen_" + name)
+        if build is None:
+            raise AttributeError("GeneratorTable has no generator %r" % name)
+        value = self.__dict__[name] = build(self.truncation)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorTable is immutable")
@@ -171,26 +180,6 @@ class GeneratorTable:
         return "GeneratorTable(truncation=%r)" % (self.truncation,)
 
     @cached_property
-    def a(self):
-        return gen_a(self.truncation)
-
-    @cached_property
-    def b2(self):
-        return gen_b2(self.truncation)
-
-    @cached_property
-    def b3(self):
-        return gen_b3(self.truncation)
-
-    @cached_property
-    def b4(self):
-        return gen_b4(self.truncation)
-
-    @cached_property
-    def b8(self):
-        return gen_b8(self.truncation)
-
-    @cached_property
     def b2_b3_square(self):
         """b2 b3^2, in the relation and the delta identity."""
         return self.b2 * self.square("b3")
@@ -203,9 +192,7 @@ class GeneratorTable:
         return self._squares[name]
 
 
-@lru_cache(maxsize=16)
-def generator_table(truncation):
-    return GeneratorTable(truncation)
+generator_table = lru_cache(maxsize=16)(GeneratorTable)
 
 
 def _calibrated(power, k):

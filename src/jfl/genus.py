@@ -12,7 +12,7 @@ Closed formulas are hard-coded through complex dimension 4.
 import operator
 from fractions import Fraction
 
-from .ring import JFElement, normal_form
+from .ring import normal_form
 
 __all__ = [
     "UnsupportedDim", "NonIntegralGenus", "ChernData",

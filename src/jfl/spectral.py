@@ -62,7 +62,7 @@ from .guard import (DEFAULT_MAX_DEGREE_GUARD, UnsupportedDegree,
 
 __all__ = [
     "NotAComplex", "UnsupportedDegree", "DEVIATIONS",
-    "max_degree_guard", "check_guard",
+    "DEFAULT_MAX_DEGREE_GUARD", "max_degree_guard", "check_guard",
     "PageGenerator", "PageSpec", "BigradedPage",
     "homology_at",
     "tjf_page", "msu_page", "msu_sub_page",
@@ -353,25 +353,25 @@ class BigradedPage:
 
 # -- the concrete pages --------------------------------------------------
 
-def _square_rule(b2, b, c):
-    # the squared relation: the even partner of b squares to b2 b^2 - 4 c
-    return ((1, {b2: 1, b: 2}), (-4, {c: 1}))
-
-
-def _page(max_degree, b_family, c_family, rewrites):
+def _page(max_degree, b_family, c_family):
     """The one page builder: the B family, then the C family, over h1.
 
-    Families are iterables of (name, degree) and rewrites one of
-    (name, rule) pairs, read only once the degree guard has passed.
-    The first B generator carries d3 = h1^3, every other B generator
-    kills h1, and the C generators are inert.
+    Families are iterables of (name, degree), read only once the degree
+    guard has passed.  The first B generator carries d3 = h1^3, every
+    other B generator kills h1, and the C generators are inert.  Each C
+    of degree 8n rules the B of degree 4n by the squared relation
+    B^2 = g0 B'^2 - 4 C, with g0 the first B and B' the B of degree
+    4n - 2, and so caps it at exponent 1.
     """
     check_guard(max_degree)
     bs = tuple(PageGenerator(name, deg) for name, deg in b_family)
     cs = tuple(PageGenerator(name, deg) for name, deg in c_family)
+    b_of = {g.degree: g.name for g in bs}
     spec = PageSpec(
         generators=bs + cs,
-        rewrite_rules=dict(rewrites),
+        rewrite_rules={b_of[c.degree // 2]: (
+            (1, {bs[0].name: 1, b_of[c.degree // 2 - 2]: 2}),
+            (-4, {c.name: 1})) for c in cs},
         torsion_killers=frozenset(g.name for g in bs[1:]),
         d3={g.name: ((1, {"h1": 3}),) for g in bs[:1]},
         max_degree=max_degree,
@@ -380,8 +380,7 @@ def _page(max_degree, b_family, c_family, rewrites):
 
 
 def tjf_page(max_degree):
-    return _page(max_degree, (("b2", 4), ("b3", 6), ("b4", 8)),
-                 (("b8", 16),), (("b4", _square_rule("b2", "b3", "b8")),))
+    return _page(max_degree, (("b2", 4), ("b3", 6), ("b4", 8)), (("b8", 16),))
 
 
 _SUB_PAGE = frozenset(("B2", "B3", "B4", "C8"))
@@ -415,16 +414,14 @@ def msu_sub_page(max_degree):
 
 
 def msu_page(max_degree):
-    # B_{2n}^2 = B2 B_{2n-1}^2 - 4 C_{4n}, ruled while 8n <= max_degree:
-    # a larger square, and the cap its rule would set, lies past the page.
-    # B2 is on every page: its d3 = h1^3 is what kills h1^3 in degree 3.
+    """B_2n of degree 2n and C_4n of degree 8n through max_degree.  Each
+    C_4n on the page rules B_2n (see _page), so no ruled square lies
+    past the page.  B2 is on every page: its d3 = h1^3 is what kills
+    h1^3 in degree 3."""
     return _page(
         max_degree,
         (("B%d" % n2, 2 * n2) for n2 in range(2, max(max_degree, 4) // 2 + 1)),
-        (("C%d" % (4 * n), 8 * n) for n in range(2, max_degree // 8 + 1)),
-        (("B%d" % (2 * n),
-          _square_rule("B2", "B%d" % (2 * n - 1), "C%d" % (4 * n)))
-         for n in range(2, max_degree // 8 + 1)))
+        (("C%d" % (4 * n), 8 * n) for n in range(2, max_degree // 8 + 1)))
 
 
 def homotopy_groups(page):
@@ -490,11 +487,11 @@ MSU_EXPECTED_TABLE = {
 
 
 def expected_tjf_group(n):
-    from .ring import degree_basis
-    free = len(degree_basis(n))
-    # h1^s b2^(2m) b8^g in degree s + k: k // 16 + 1 of them when 8 | k
-    torsion = sum(k // 16 + 1 for k in (n - 1, n - 2) if k >= 0 and k % 8 == 0)
-    return FPAbelianGroup(free, (2,) * torsion)
+    from . import ring
+    # each h1^s b2^(2m) b8^g in degree n, s = 1, 2, times b2 is one
+    # b2^(2m+1) b8^g in degree n - s + 4
+    torsion = sum(map(ring.expected_torsion_rank, (n + 3, n + 2)))
+    return FPAbelianGroup(len(ring.degree_basis(n)), (2,) * torsion)
 
 
 def expected_msu_group(n):

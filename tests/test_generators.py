@@ -1,3 +1,4 @@
+import copy
 from functools import reduce
 from operator import mul
 
@@ -286,6 +287,20 @@ def test_b2_b4_share_the_theta_squares(monkeypatch, via_table):
     assert len(calls) == 2
     assert b2.q_layer(0) == {-2: 1, 0: 10, 2: 1}
     assert b4.q_layer(0) == {-2: 1, 0: 4, 2: 1}
+
+
+def test_table_finds_only_builder_names(monkeypatch):
+    # no gen_c4 and no gen_gen_a: AttributeError, no builder called and
+    # nothing kept, and a copy, made before any slot is filled, is equal
+    calls = [_counting(monkeypatch, "gen_" + name)
+             for name in ("a", "b2", "b3", "b4", "b8")]
+    t = generators.GeneratorTable(5)
+    for name in ("c4", "gen_a"):
+        with pytest.raises(AttributeError):
+            getattr(t, name)
+    assert calls == [[]] * 5
+    assert vars(t) == {"truncation": 5, "_squares": {}}
+    assert copy.copy(t) == t
 
 
 def test_squares_are_built_once(tab):

@@ -1,6 +1,8 @@
-"""The oracles have one home, tests/oracles.py: no test helper, test
-module or CI step imports from a test module."""
+"""Layout rules: the oracles have one home, tests/oracles.py, so no test
+helper, test module or CI step imports from a test module; and no jfl
+module imports a name it neither reads nor exports."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -18,4 +20,43 @@ def test_nothing_imports_from_a_test_module():
              for path in paths
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if IMPORTS_A_TEST_MODULE.match(line)]
+    assert found == []
+
+
+def unused_imports(source):
+    """(line, name) of each name a module imports but neither reads nor
+    lists in a literal __all__; a computed __all__ lists nothing."""
+    tree = ast.parse(source)
+    imported, read, exported = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            try:
+                exported.update(ast.literal_eval(node.value))
+            except ValueError:
+                pass
+    used = read | exported | {"*"}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    assert unused_imports("import os\nfrom a import b, c as d\nd()") == [
+        (1, "os"), (2, "b")]
+    assert unused_imports("import os.path\nos.path.join") == []
+    assert unused_imports("from a import b\n__all__ = ['b']") == []
+    assert unused_imports("from a import b\n__all__ = list('x')") == [
+        (1, "b")]
+    found = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+             for path in sorted((ROOT / "src" / "jfl").glob("*.py"))
+             for line, name in unused_imports(path.read_text())]
     assert found == []

@@ -104,6 +104,12 @@ class TestTjfPage:
         out = normalize(page, [(1, {"b4": 2})])
         assert out == {_key(b2=1, b3=2): 1, _key(b8=1): -4}
 
+    def test_b8_rules_b4(self):
+        # the one C generator, b8 (degree 16), rules b4 (degree 8)
+        for max_degree in range(65):
+            assert tjf_page(max_degree).spec.rewrite_rules == {
+                "b4": ((1, {"b2": 1, "b3": 2}), (-4, {"b8": 1}))}
+
     def test_normalize_kills_torsion_products(self, page):
         assert normalize(page, [(1, {"b3": 1, "h1": 1})]) == {}
         assert normalize(page, [(1, {"b4": 1, "h1": 2})]) == {}
@@ -430,11 +436,17 @@ class TestMsuPage:
         assert len(page.basis(16, 0)) == 7
 
     def test_square_rules_only_within_the_page(self):
-        # B6^2 (degree 24) lies past the page: no rule, so B6 is uncapped
-        page = msu_page(16)
-        assert list(page.spec.rewrite_rules) == ["B4"]
+        # each C_4n (degree 8n) on the page rules B_2n by the squared
+        # relation, in C order; B6^2 (degree 24) lies past msu_page(16):
+        # no C12, no rule, so B6 is uncapped
+        for max_degree in range(65):
+            rules = msu_page(max_degree).spec.rewrite_rules
+            assert list(rules.items()) == [
+                ("B%d" % (2 * n), ((1, {"B2": 1, "B%d" % (2 * n - 1): 2}),
+                                   (-4, {"C%d" % (4 * n): 1})))
+                for n in range(2, max_degree // 8 + 1)]
         # B4^2 is tabled and rewrites cleanly
-        out = normalize(page, [(1, {"B4": 2})])
+        out = normalize(msu_page(16), [(1, {"B4": 2})])
         assert out == {_key(B2=1, B3=2): 1, _key(C8=1): -4}
 
     def test_table_check(self):
