@@ -24,7 +24,8 @@ not a^k itself.  The three modular embedding identities force this: the
 weight-6 identity fails by a global sign for either choice of sign of
 a (a only enters through even powers there), so the padding class is
 calibrated to square to MINUS a^2.  All identities below are certified
-with this convention; A_SQUARE_SIGN records it for reports.
+with this convention; A_SQUARE_SIGN and CALIBRATION record it for
+callers of the library, and no command prints them.
 """
 
 from functools import cached_property, lru_cache

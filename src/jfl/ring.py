@@ -18,6 +18,7 @@ them, so ring arithmetic and the certificate load neither.
 """
 
 from functools import lru_cache
+from math import comb
 from operator import index
 
 GENERATOR_NAMES = ("b2", "b3", "b4", "b8")
@@ -75,11 +76,7 @@ class JFElement:
             return NotImplemented
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+            _accumulate_reduced(out, m, c)
         return JFElement(out)
 
     def __sub__(self, other):
@@ -128,20 +125,19 @@ class JFElement:
 
 
 def _accumulate_reduced(acc, mono, coeff):
-    # rewrite b4^2 -> b2 b3^2 - 4 b8 until epsilon <= 1
-    stack = [(mono, coeff)]
-    while stack:
-        (a, b, e, g), c = stack.pop()
-        if e <= 1:
-            key = (a, b, e, g)
-            v = acc.get(key, 0) + c
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
-        else:
-            stack.append(((a + 1, b + 2, e - 2, g), c))
-            stack.append(((a, b, e - 2, g + 1), -4 * c))
+    # b4^(2k+r) = (b2 b3^2 - 4 b8)^k b4^r, expanded by the binomial theorem
+    a, b, e, g = mono
+    if e > 1:
+        k, r = divmod(e, 2)
+        for j in range(k + 1):
+            _accumulate_reduced(acc, (a + k - j, b + 2 * (k - j), r, g + j),
+                                comb(k, j) * (-4) ** j * coeff)
+        return
+    v = acc.get(mono, 0) + coeff
+    if v:
+        acc[mono] = v
+    else:
+        acc.pop(mono, None)
 
 
 def normal_form(p):

@@ -10,9 +10,9 @@ from functools import lru_cache
 
 from jfl import ring, spectral
 from jfl.lattice import (FPAbelianGroup, hermite_normal_form,
-                         invariant_factors, solve_column_combination,
-                         transpose)
-from jfl.ring import IMAGE_GENERATORS, JFElement, degree_basis
+                         invariant_factors, snf_diagonal,
+                         solve_column_combination, transpose)
+from jfl.ring import IMAGE_GENERATORS, JFElement, degree_basis, eval_series
 from jfl.series import NonDivisible, QYSeries, exact_divide, make_series
 from jfl.spectral import NotAComplex, preimage_lattice, tjf_page
 
@@ -173,6 +173,27 @@ def from_coords(vec, d):
     return JFElement({m: c for m, c in zip(degree_basis(d), vec) if c})
 
 
+def normal_form_oracle(poly):
+    """poly, a map (b2, b3, b4, b8) exponents -> coefficient, reduced by
+    rewriting b4^2 -> b2 b3^2 - 4 b8 one square at a time on a stack, so
+    b4^(2k) fans out into 2^k leaves: the oracle for the binomial
+    expansion in ring._accumulate_reduced, behind ring.normal_form."""
+    acc = {}
+    stack = list(poly.items())
+    while stack:
+        (a, b, e, g), c = stack.pop()
+        if e <= 1:
+            v = acc.get((a, b, e, g), 0) + c
+            if v:
+                acc[(a, b, e, g)] = v
+            else:
+                acc.pop((a, b, e, g), None)
+        else:
+            stack.append(((a + 1, b + 2, e - 2, g), c))
+            stack.append(((a, b, e - 2, g + 1), -4 * c))
+    return JFElement(acc)
+
+
 @lru_cache(maxsize=None)
 def image_lattice_oracle(d):
     """HNF rows spanning the degree-d piece of the subring generated by
@@ -197,6 +218,45 @@ def image_lattice_oracle(d):
                 vec[index[m]] = c
             rows.append(vec)
     return tuple(tuple(r) for r in hermite_normal_form(rows, len(basis)))
+
+
+# -- the ring as weak Jacobi forms -------------------------------------
+
+def modular_form_dimension(k):
+    """dim M_k of the level-one modular forms of weight k."""
+    if k < 0 or k % 2 or k == 2:
+        return 0
+    return k // 12 + (0 if k % 12 == 2 else 1)
+
+
+def weak_jacobi_count(d):
+    """The Eichler-Zagier dimension of the weight-0 weak Jacobi forms of
+    index d/4: sum of dim M_2j over j <= d/4 when 4 | d, and the count at
+    d - 6 when d = 2 mod 4, since a form of half-integral index is
+    phi_(0,3/2), of degree 6, times one of integral index.  The oracle
+    for len(ring.degree_basis(d))."""
+    if d < 0 or d % 2:
+        return 0
+    if d % 4:
+        return weak_jacobi_count(d - 6)
+    return sum(modular_form_dimension(2 * j) for j in range(d // 4 + 1))
+
+
+def jacobi_bound(d):
+    """floor(m/6) + 1 q-orders for index m = d/4: a weight-0 weak form of
+    index m that vanishes to that order is 0 (Eichler-Zagier, section 9)."""
+    return d // 24 + 1
+
+
+def weak_jacobi_smith_form(d, truncation):
+    """The Smith diagonal of the coefficient matrix of the q-expansions
+    (ring.eval_series) of degree_basis(d) to q^truncation, one row per
+    monomial.  [1] * len(degree_basis(d)) says the expansions are
+    independent and span a saturated lattice: an integral form in their
+    rational span is an integral combination of them."""
+    rows = [eval_series({m: 1}, truncation)[0]._terms for m in degree_basis(d)]
+    columns = sorted(set().union(*rows))
+    return snf_diagonal([[row.get(c, 0) for c in columns] for row in rows])
 
 
 # -- page arithmetic over Z --------------------------------------------
@@ -375,6 +435,40 @@ def homotopy_groups_oracle(page, max_degree):
             torsion.extend(h.torsion)
         out[n] = FPAbelianGroup(rank, invariant_factors(torsion))
     return out
+
+
+def spec_torsion_count(spec):
+    """The number of Z/2 summands of homotopy in each degree n through
+    spec.max_degree, read from the spec alone: even(n - 1) + even(n - 2),
+    where even(k) counts the h1-survivor monomials of degree k with an
+    even exponent of g0, the one generator with a d3 rule.  Mod 2, d3 is
+    h1^3 times the derivative in g0, which pairs the odd-g0 survivors
+    with the even ones four degrees lower, so H(n, s) is (Z/2)^even(n - s)
+    for s = 1, 2 and 0 for s >= 3.  even is one knapsack over the
+    survivors with g0 replaced by g0^2; the count holds on pages where
+    d3 g0 = h1^3 is the only rule and no survivor is capped."""
+    g0, = spec.d3
+    killed = spec.torsion_killers
+    if spec.d3[g0] != ((1, {"h1": 3}),) or any(
+            g.name in spec.rewrite_rules for g in spec.generators
+            if g.name not in killed):
+        raise ValueError("the page is not of the counted shape")
+    even = [1] + [0] * spec.max_degree
+    for g in spec.generators:
+        if g.name not in killed:
+            w = 2 * g.degree if g.name == g0 else g.degree
+            for n in range(w, len(even)):
+                even[n] += even[n - w]
+    return [sum(even[k] for k in (n - 1, n - 2) if k >= 0)
+            for n in range(len(even))]
+
+
+def spec_count(page):
+    """spectral.homotopy_groups(page) as counts: {n: (rank, number of
+    Z/2)}, the rank the free count Z^free_count(n) of filtration 0 and
+    the torsion spec_torsion_count.  No basis, d3 column or lattice."""
+    return {n: (page.free_count(n), z2)
+            for n, z2 in enumerate(spec_torsion_count(page.spec))}
 
 
 # -- surjectivity ------------------------------------------------------

@@ -198,6 +198,37 @@ def test_a_perturbed_generator_fails_its_identities(monkeypatch, name, n):
     assert {k for k, ok in report.items() if not ok} == IDENTITIES_OF[name]
 
 
+# twice the Jacobi index of each generator: a = phi_(-1,1/2),
+# b2 = phi_(0,1), b3 = phi_(0,3/2), b4 = phi_(0,2), b8 = phi_(0,4)
+TWICE_INDEX = {"a": 1, "b2": 2, "b3": 3, "b4": 4, "b8": 8}
+
+
+def _off_elliptic_invariance(f, twice_m):
+    """The (n, r2) of f, and of the terms whose partner f holds, where
+    c(n, r) = (-1)^(2m) c(n + r + m, r + 2m) fails with the term and its
+    partner below the truncation; r2 = 2r."""
+    sign = -1 if twice_m % 2 else 1
+    terms, trunc = f._terms, f.truncation
+    preimages = {(n - (r2 - twice_m) // 2, r2 - 2 * twice_m) for n, r2 in terms}
+    off = []
+    for n, r2 in sorted(set(terms) | preimages):
+        pn, pr2 = n + (r2 + twice_m) // 2, r2 + 2 * twice_m
+        if (0 <= n < trunc and pn < trunc
+                and terms.get((pn, pr2), 0) != sign * terms.get((n, r2), 0)):
+            off.append((n, r2))
+    return off
+
+
+def test_each_generator_is_its_jacobi_form():
+    # the elliptic invariance of weak Jacobi forms, on every term whose
+    # partner lies below q^65; a b4 with one coefficient changed fails
+    tab = generator_table(65)
+    for name, twice_m in TWICE_INDEX.items():
+        assert _off_elliptic_invariance(getattr(tab, name), twice_m) == [], name
+    b4 = tab.b4 + make_series([(10, 0, 1)], 65)
+    assert (10, 0) in _off_elliptic_invariance(b4, TWICE_INDEX["b4"])
+
+
 def test_b4_does_not_come_from_a_and_b2(monkeypatch):
     # b4 = (b2^2 - E4 a^4)/24 would make the c4 line hold whatever a and
     # b2 are; b4 comes from the theta squares, so with a and b2 each off

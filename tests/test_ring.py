@@ -1,6 +1,10 @@
+import random
+from functools import lru_cache
+from math import comb
+
 import pytest
 
-from jfl import ring
+from jfl import generators, ring
 from jfl.generators import generator_table, stabilizer_power
 from jfl.ring import (B2, B3, B4, B8, IMAGE_GENERATORS, ONE, Inhomogeneous,
                       JFElement, cokernel, cokernel_representatives,
@@ -9,7 +13,9 @@ from jfl.ring import (B2, B3, B4, B8, IMAGE_GENERATORS, ONE, Inhomogeneous,
                       monomial_degree, normal_form, render_element_json,
                       render_element_text)
 from jfl.lattice import FPAbelianGroup
-from oracles import from_coords, image_lattice_oracle
+from oracles import (from_coords, image_lattice_oracle, jacobi_bound,
+                     normal_form_oracle, weak_jacobi_count,
+                     weak_jacobi_smith_form)
 from property_suites import normal_form_homomorphism
 
 
@@ -24,6 +30,28 @@ def test_epsilon_capped_after_normalization():
     assert all(m[2] <= 1 for m in deep.coeffs)
     # reducing twice by hand gives the same answer
     assert deep == (B4 * B4) * (B4 * B4)
+
+
+def test_normal_form_matches_the_stack_oracle():
+    # the binomial expansion against rewriting one b4^2 at a time, on
+    # random monomials with b4 exponent up to 16 (up to 256 stack leaves)
+    rng = random.Random(20261104)
+    for _ in range(1000):
+        mono = (rng.randrange(4), rng.randrange(4), rng.randrange(17),
+                rng.randrange(3))
+        coeff = rng.choice([-1, 1]) * rng.randrange(1, 10 ** 6)
+        assert normal_form({mono: coeff}) == normal_form_oracle({mono: coeff}), mono
+
+
+def test_b4_powers_in_closed_form():
+    # each product in B4 ** e reduces at most one b4^2, so repeated
+    # squaring is a path apart from the closed form
+    for e in range(201):
+        assert normal_form({(0, 0, e, 0): 1}) == B4 ** e, e
+    # b4^200 = (b2 b3^2 - 4 b8)^100: 101 terms, not 2^100 leaves
+    assert normal_form({(0, 0, 200, 0): 1}) == JFElement({
+        (100 - j, 200 - 2 * j, 0, j): comb(100, j) * (-4) ** j
+        for j in range(101)})
 
 
 def test_normal_form_input_shapes():
@@ -120,6 +148,40 @@ def test_eval_series_matches_weight4_row():
     s, idx = eval_series(row, 7)
     assert idx == 4
     assert s == eisenstein_c4(7) * stabilizer_power(t.a, 4)
+
+
+def _unsaturated_degrees(max_degree):
+    """{d: Smith entries other than 1} over the even degrees through
+    max_degree, each expanded to jacobi_bound(d) q-orders."""
+    out = {}
+    for d in range(0, max_degree + 1, 2):
+        diag = weak_jacobi_smith_form(d, jacobi_bound(d))
+        if diag != [1] * len(degree_basis(d)):
+            out[d] = [c for c in diag if c != 1]
+    return out
+
+
+def test_the_ring_is_the_ring_of_integral_weak_jacobi_forms():
+    # through degree 64: the ring has the Eichler-Zagier dimension, and
+    # the q-expansions of its basis, to the order that separates weight-0
+    # weak forms, are independent with an all-unit Smith form
+    for d in range(65):
+        assert len(degree_basis(d)) == weak_jacobi_count(d), d
+    assert _unsaturated_degrees(64) == {}
+    # the bound is sharp: one q-order short, the top degree loses rank
+    assert weak_jacobi_smith_form(64, jacobi_bound(64) - 1).count(0) == 4
+
+
+def test_a_doubled_b8_is_not_saturated(monkeypatch):
+    def doubled_b8(N):
+        t = generators.GeneratorTable(N)
+        t.__dict__["b8"] = generators.gen_b8(N).scale(2)
+        return t
+
+    monkeypatch.setattr(generators, "generator_table", lru_cache(doubled_b8))
+    found = _unsaturated_degrees(32)
+    assert min(found) == 16
+    assert found[16] == found[20] == [2] and 2 in found[32]
 
 
 def test_in_image_positives():

@@ -15,7 +15,7 @@ from jfl.spectral import (BigradedPage, NotAComplex,
 from oracles import (bareiss_determinant, basis_oracle, crooked_images,
                      d3_element, d3_monomial, homology_at_oracle,
                      homotopy_groups_oracle, msu_group, normalize, page_map,
-                     surjectivity_check_oracle)
+                     spec_count, spec_torsion_count, surjectivity_check_oracle)
 from property_suites import d3_squared_zero, signed_leibniz
 
 
@@ -164,6 +164,16 @@ def test_homotopy_groups_match_the_per_bidegree_oracle(page_of):
     assert homotopy_groups(page) == homotopy_groups_oracle(page, guard)
 
 
+@pytest.mark.parametrize("page_of", [tjf_page, msu_page])
+def test_homotopy_groups_are_the_spec_count(page_of):
+    # Z^free_count(n) plus (Z/2)^even(n - s) for s = 1, 2, counted from
+    # the spec with no basis or lattice, through 64
+    page = page_of(64)
+    assert homotopy_groups(page) == {
+        n: FPAbelianGroup(rank, (2,) * z2)
+        for n, (rank, z2) in spec_count(page).items()}
+
+
 def test_homotopy_groups_compute_each_sector_key_once(monkeypatch):
     # one call per n - s and kind: s = 0, s = 1 or 2, s = 3, s >= 4 through 64
     calls = []
@@ -255,6 +265,20 @@ def test_msu_free_rank_is_conner_floyd_through_4096(monkeypatch):
     without_c16 = BigradedPage(spec._replace(generators=tuple(
         g for g in spec.generators if g.name != "C16")))
     assert _free_ranks_off_conner_floyd(without_c16)[0] == 32
+
+
+def test_msu_spec_torsion_is_conner_floyd_through_4096(monkeypatch):
+    # the torsion half of the generating-function identity: even(8k)
+    # counts monomials in B2^2 and the C_4n, so p(k) of them, in degrees
+    # 8k + 1 and 8k + 2; counts, since p(512) Z/2 would not fit a tuple.
+    # Without C16 (degree 32) the count falls short from degree 33 on
+    monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "4096")
+    counts = spec_torsion_count(msu_page(4096).spec)
+    assert counts == [msu_group(n)[1] for n in range(4097)]
+    spec = msu_page(64).spec
+    counts = spec_torsion_count(spec._replace(generators=tuple(
+        g for g in spec.generators if g.name != "C16")))
+    assert min(n for n in range(65) if counts[n] != msu_group(n)[1]) == 33
 
 
 def test_tjf_free_count_is_the_ring_basis_size(monkeypatch):
