@@ -25,9 +25,14 @@ shapes: Z^n at filtration 0 and (Z/2)^n above it.
            T = 2K^-1 of the kernel lattice K is kept per d3 matrix: its
            rows are 2Z^n in K coordinates, and half sums of them the
            incoming columns; one Smith form per bidegree presents it
+Only an h1-survivor carries d3 (BigradedPage refuses a rule on a
+generator that kills h1), so the nonzero incoming columns at (d, s) are
+those of the torsion matrix d3_matrix(d - s + 5, 1) for every s >= 3,
+s = 3 included: a free monomial holding a killer has a zero column, and
+any other is a survivor monomial m, whose column is that of h1 m.
 homotopy_groups computes H(n, s) once per n - s and sector kind (free,
-nothing coming in, fed by the free sector, fed by torsion), which fixes
-the basis, the d3 columns and the incoming columns of every s >= 1.
+nothing coming in, fed by the torsion d3), which fixes the basis, the d3
+columns and the incoming columns of every s >= 1.
 Bases come from one enumeration per page, memoized on (generator
 position, degree left) and built as immutable monomial keys.  A page
 has one monomial order: a key lists its factors in generator order, h1
@@ -109,9 +114,10 @@ def homology_at(page, d, s):
               d3 lands in Z/2 groups and comes as F2 bitset columns,
               incoming ones too, since 2Z^n is already a relation; zero
               and repeated incoming columns are dropped, and all
-              relations are written in K coordinates; at s = 3 they come
-              from the free monomials that can reach h1^3
-              (`_free_incoming`), not from every free column
+              relations are written in K coordinates; for every s >= 3,
+              s = 3 included, they are the columns of the torsion matrix
+              d3_matrix(d - s + 5, 1), h1 times the survivor monomials
+              of degree d - s + 4 (the module docstring says why)
     K contains 2Z^n, so T = 2K^-1 is integral: its rows are the 2e_i in
     K coordinates, and an incoming 0/1 column v has K coordinates v T / 2,
     half the sum of T's rows at v's set bits (an odd sum puts v outside
@@ -130,8 +136,7 @@ def homology_at(page, d, s):
             transpose(preimage_lattice(d_out)), twos)
     rows = page._kernel_cache[d_out]
     if s >= 3:
-        incoming = dict.fromkeys(_free_incoming(page, d) if s == 3
-                                 else page.d3_matrix(d + 1, s - 3))
+        incoming = dict.fromkeys(page.d3_matrix(d - s + 5, 1))
         incoming.pop(0, None)
         if any(_mod2_product(d_out, incoming)):
             raise NotAComplex("d3 o d3 is nonzero from (%d, %d)"
@@ -142,29 +147,6 @@ def homology_at(page, d, s):
             raise NotAComplex("image vector falls outside the kernel lattice")
         rows = rows + [[x // 2 for x in v] for v in sums]
     return FPAbelianGroup.from_presentation(m, rows)
-
-
-def _free_incoming(page, d):
-    """The columns of d3_matrix(d + 1, 0) that can be nonzero, F2
-    bitsets over basis(d, 3), without building every column.
-
-    Only the free monomials g m can have a nonzero column: g a generator
-    with a d3 rule and m a survivor monomial of degree d + 1 - deg g (g m
-    skipped where it squares a capped g).  Every other free monomial
-    keeps a torsion killer in each Leibniz term, and since each d3
-    target is h1^3 times uncapped survivors (BigradedPage checks it),
-    no rewrite removes that killer, so the term is zero.
-    """
-    degree, capped = page._degree, page.spec.rewrite_rules
-    sources = {}
-    for g in page.free_names:
-        if g in page.spec.d3:
-            for m in page._enumerate(page.survivor_names, d + 1 - degree[g]):
-                exps = dict(m)
-                if not (g in capped and g in exps):
-                    exps[g] = exps.get(g, 0) + 1
-                    sources[page.key(exps)] = None
-    return page.d3_columns(sources, d + 1, 0)
 
 
 # -- page description ---------------------------------------------------
@@ -180,8 +162,8 @@ generators lists the free generators in generator order; h1 (degree
 maps a generator name g to the replacement of g^2 as a tuple of
 (coeff, {name: exp}) terms; such generators are capped at exponent 1
 in every realized basis.  torsion_killers lists the generators with
-g*h1 = 0.  d3 maps generator names to their differential, again as
-(coeff, {name: exp}) terms.
+g*h1 = 0.  d3 maps the names of generators that survive h1 to their
+differential, again as (coeff, {name: exp}) terms.
 """
 
 
@@ -208,6 +190,11 @@ class BigradedPage:
                                     if n not in spec.torsion_killers)
         self._degree = {"h1": 1, **{g.name: g.degree for g in spec.generators}}
         for name, rule in spec.d3.items():
+            # a killer g has g h1 = 0, yet d3(g h1) = d3(g) h1 would be
+            # h1^4 times survivors: no derivation
+            if name in spec.torsion_killers:
+                raise ValueError("d3 %s: %s kills h1, so it can carry no d3"
+                                 % (name, name))
             for _, exps in rule:
                 if exps.get("h1") != 3 or any(
                         n != "h1" and (n not in self.survivor_names
@@ -433,20 +420,20 @@ def homotopy_groups(page):
     captured by the kernel lattices, so the direct sum is the answer.
 
     H(n, s) is computed once per key (n - s, kind) and shared, kind being
-    0 at s = 0, 2 at s = 1, 2, 3 at s = 3 and 4 at s >= 4.  That is
-    exact: for s >= 1, basis(n, s) is h1^s times the survivor monomials
-    of degree k = n - s, and d3 is read mod 2, where the sign (-1)^s
-    drops out, so d3_matrix(n, s) is one matrix per k.  s = 1, 2 have
-    nothing coming in, so they share one group; s = 3 takes it from the
-    free sector (n + 1, 0), so its d3 o d3 check runs once per k, and
-    every s >= 4 from the torsion sector of degree k + 4.  The groups are
-    immutable.
+    0 at s = 0, 1 at s = 1, 2 and 2 at s >= 3.  That is exact: for
+    s >= 1, basis(n, s) is h1^s times the survivor monomials of degree
+    k = n - s, and d3 is read mod 2, where the sign (-1)^s drops out, so
+    d3_matrix(n, s) is one matrix per k.  s = 1, 2 have nothing coming
+    in, so they share one group; every s >= 3 takes its incoming columns
+    from the torsion matrix of degree k + 4 (see homology_at), so it
+    shares one group too, and its d3 o d3 check runs once per k.  The
+    groups are immutable.
     """
     out, memo = {}, {}
     for n in range(page.max_degree + 1):
         rank, torsion = 0, []
         for s in range(n + 1):
-            key = (n - s, 0 if s == 0 else max(2, min(s, 4)))
+            key = (n - s, (s >= 1) + (s >= 3))
             if key not in memo:
                 memo[key] = homology_at(page, n, s)
             h = memo[key]

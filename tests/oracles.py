@@ -400,7 +400,9 @@ def basis_oracle(page, d, s):
 def homology_at_oracle(page, d, s):
     """spectral.homology_at before the page kept its kernel lattices: K
     and the rows 2e_i built afresh at every bidegree, and every relation
-    solved in K coordinates by one Smith form."""
+    solved in K coordinates by one Smith form.  The incoming relations
+    are their definition, d3 from (d + 1, s - 3): at s = 3 every column
+    of the dense free-sector matrix."""
     if s == 0:
         return FPAbelianGroup(page.free_count(d))
     m = len(page.basis(d, s))
@@ -409,8 +411,7 @@ def homology_at_oracle(page, d, s):
     d_out = page.d3_matrix(d, s)
     relations = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
     if s >= 3:
-        incoming = dict.fromkeys(spectral._free_incoming(page, d) if s == 3
-                                 else page.d3_matrix(d + 1, s - 3))
+        incoming = dict.fromkeys(page.d3_matrix(d + 1, s - 3))
         incoming.pop(0, None)
         if any(spectral._mod2_product(d_out, incoming)):
             raise NotAComplex("d3 o d3 is nonzero from (%d, %d)"
@@ -573,20 +574,22 @@ _PARTITIONS = [1]
 
 
 def partition_count(k):
-    """p(k), counting partitions part size by part size; p(k) = 0 for
-    k < 0.  The counts behind msu_group.  One table serves every call and
-    is rebuilt at least twice as long when k passes its end, so reading
-    p(k) for every k through 2048 costs about one table of 2048."""
+    """p(k) by Euler's pentagonal number theorem; p(k) = 0 for k < 0.
+    p(n) is the sum over j >= 1 of (-1)^(j + 1) (p(n - j(3j - 1)/2) +
+    p(n - j(3j + 1)/2)), about 2 sqrt(2n/3) terms.  The counts behind
+    msu_group.  One table serves every call and grows to k on demand."""
     if k < 0:
         return 0
-    if k >= len(_PARTITIONS):
-        size = max(k, 2 * len(_PARTITIONS))
-        ways = [1] + [0] * size
-        for part in range(1, size + 1):
-            for n in range(part, size + 1):
-                ways[n] += ways[n - part]
-        _PARTITIONS[:] = ways
-    return _PARTITIONS[k]
+    p = _PARTITIONS
+    for n in range(len(p), k + 1):
+        total, j, pent = 0, 1, 1
+        while pent <= n:
+            term = p[n - pent] + (p[n - pent - j] if pent + j <= n else 0)
+            total += term if j % 2 else -term
+            j += 1
+            pent = j * (3 * j - 1) // 2
+        p.append(total)
+    return p[k]
 
 
 def msu_group(n):

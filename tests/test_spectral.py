@@ -1,5 +1,6 @@
 import math
 import random
+import types
 
 import pytest
 
@@ -15,7 +16,8 @@ from jfl.spectral import (BigradedPage, NotAComplex,
 from oracles import (bareiss_determinant, basis_oracle, crooked_images,
                      d3_element, d3_monomial, homology_at_oracle,
                      homotopy_groups_oracle, msu_group, normalize, page_map,
-                     spec_count, spec_torsion_count, surjectivity_check_oracle)
+                     partition_count, spec_count, spec_torsion_count,
+                     surjectivity_check_oracle)
 from property_suites import d3_squared_zero, signed_leibniz
 
 
@@ -51,10 +53,9 @@ class TestHomologyAt:
         assert homology_at(page, 7, 0) == FPAbelianGroup(0)
 
     def test_not_a_complex(self):
-        # d3 b4 = h1^3 b2 makes d3 d3 b4 = h1^6, nonzero mod 2
-        spec = tjf_page(16).spec
-        d3 = dict(spec.d3, b4=((1, {"h1": 3, "b2": 1}),))
-        page = BigradedPage(spec._replace(d3=d3))
+        # with b4 surviving h1, d3 b4 = h1^3 b2 makes d3 d3 b4 = h1^6,
+        # nonzero mod 2
+        page = _with_d3_on_b4(_b4_survives)(16)
         with pytest.raises(NotAComplex,
                            match=r"d3 o d3 is nonzero from \(8, 0\)"):
             homotopy_groups(page)
@@ -62,9 +63,7 @@ class TestHomologyAt:
     def test_an_incoming_column_outside_the_kernel(self, monkeypatch):
         # with the d3 o d3 check blinded, the same page's incoming column
         # at (7, 3) has an odd sum of T = 2K^-1 rows: it is not in K
-        spec = tjf_page(16).spec
-        d3 = dict(spec.d3, b4=((1, {"h1": 3, "b2": 1}),))
-        page = BigradedPage(spec._replace(d3=d3))
+        page = _with_d3_on_b4(_b4_survives)(16)
         monkeypatch.setattr(spectral, "_mod2_product", lambda d, cols: [0])
         with pytest.raises(NotAComplex, match="outside the kernel lattice"):
             homology_at(page, 7, 3)
@@ -175,7 +174,7 @@ def test_homotopy_groups_are_the_spec_count(page_of):
 
 
 def test_homotopy_groups_compute_each_sector_key_once(monkeypatch):
-    # one call per n - s and kind: s = 0, s = 1 or 2, s = 3, s >= 4 through 64
+    # one call per n - s and kind: s = 0, s = 1 or 2, s >= 3 through 64
     calls = []
 
     def counted(page, d, s):
@@ -184,7 +183,7 @@ def test_homotopy_groups_compute_each_sector_key_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "homology_at", counted)
     homotopy_groups(msu_page(64))
-    assert len(calls) == len(set(calls)) == 65 + 64 + 62 + 61
+    assert len(calls) == len(set(calls)) == 65 + 64 + 62
 
 
 def test_homotopy_groups_build_one_kernel_lattice_per_d3_matrix(monkeypatch):
@@ -246,6 +245,14 @@ def test_free_count_is_the_basis_size(page_of, max_degree, monkeypatch):
     assert page.free_count(-1) == 0
     for d in range(max_degree + 1):
         assert page.free_count(d) == len(page.basis(d, 0)), d
+
+
+def test_partition_count_pins():
+    # Euler's pentagonal recurrence behind msu_group
+    assert [partition_count(k) for k in range(-1, 12)] == [
+        0, 1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56]
+    assert partition_count(100) == 190569292
+    assert partition_count(200) == 3972999029388
 
 
 def _free_ranks_off_conner_floyd(page):
@@ -354,7 +361,7 @@ def test_preimage_lattice_on_random_f2_columns():
 
 
 def _with_d3_on_b4(page_of, coeff=1):
-    # the altered page of test_not_a_complex
+    # with _b4_survives, the altered page of test_not_a_complex
     def build(max_degree):
         spec = page_of(max_degree).spec
         return BigradedPage(spec._replace(
@@ -382,15 +389,19 @@ def _homology_or_error(homology, page, d, s):
         return str(exc)
 
 
-@pytest.mark.parametrize("page_of, max_degree", [
-    (tjf_page, 64), (msu_page, 64), (msu_sub_page, 64),
-    (_with_d3_on_b4(tjf_page), 32), (_b4_survives, 32),
+_ORACLE_PAGES = [
+    (tjf_page, 64), (msu_page, 64), (msu_sub_page, 64), (_b4_survives, 32),
     (_without_even_killers(msu_page, lambda n: int(n[1:]) % 2 == 0), 32),
     (_with_d3_on_b4(_b4_survives), 32),
     (_with_d3_on_b4(_b4_survives, coeff=2), 32),
-], ids=["tjf", "msu", "msu sub", "tjf, d3 b4", "tjf, b4 survives",
-        "msu, B2n survive", "tjf, d3 b4 and b4 survives",
-        "tjf, d3 b4 even and b4 survives"])
+]
+_ORACLE_IDS = ["tjf", "msu", "msu sub", "tjf, b4 survives",
+                "msu, B2n survive", "tjf, d3 b4 and b4 survives",
+                "tjf, d3 b4 even and b4 survives"]
+
+
+@pytest.mark.parametrize("page_of, max_degree", _ORACLE_PAGES,
+                         ids=_ORACLE_IDS)
 def test_homology_at_matches_the_oracle(page_of, max_degree):
     # every s >= 1 bidegree, in the order homotopy_groups meets them, so
     # the kernel lattices kept on the page are reused across sectors; on
@@ -402,35 +413,30 @@ def test_homology_at_matches_the_oracle(page_of, max_degree):
                     == _homology_or_error(homology_at_oracle, fresh, n, s)), (n, s)
 
 
-@pytest.mark.parametrize("page_of, max_degree", [
-    (tjf_page, 64), (msu_page, 64), (_with_d3_on_b4(tjf_page), 32),
-    (_b4_survives, 32),
-    (_without_even_killers(msu_page, lambda n: int(n[1:]) % 2 == 0), 32),
-    (_with_d3_on_b4(_b4_survives), 32),
-], ids=["tjf", "msu", "tjf, d3 b4", "tjf, b4 survives", "msu, B2n survive",
-        "tjf, d3 b4 and b4 survives"])
-def test_free_incoming_matches_the_dense_matrix(page_of, max_degree):
-    # the s = 3 relations from the monomials g m against every column of
-    # the free-sector d3_matrix, every free monomial's column
+@pytest.mark.parametrize("page_of, max_degree", _ORACLE_PAGES,
+                         ids=_ORACLE_IDS)
+def test_torsion_incoming_matches_the_dense_matrix(page_of, max_degree):
+    # the s = 3 relations homology_at reads, the torsion columns of h1
+    # times the survivor monomials, against every column of the dense
+    # free-sector d3_matrix, every free monomial's column
     page = page_of(max_degree)
     for d in range(max_degree + 1):
-        columns = page.d3_matrix(d + 1, 0)
-        assert set(spectral._free_incoming(page, d)) - {0} == set(columns) - {0}, d
+        torsion, free = page.d3_matrix(d + 2, 1), page.d3_matrix(d + 1, 0)
+        assert set(torsion) - {0} == set(free) - {0}, d
 
 
 @pytest.mark.parametrize("page_of, max_degree", [
     (tjf_page, 128), (msu_page, 64), (msu_sub_page, 96),
-    (_with_d3_on_b4(tjf_page), 32), (_with_d3_on_b4(_b4_survives), 32),
+    (_with_d3_on_b4(_b4_survives), 32),
     (_with_d3_on_b4(_b4_survives, coeff=2), 32),
-], ids=["tjf_page", "msu_page", "msu_sub_page", "tjf, d3 b4",
+], ids=["tjf_page", "msu_page", "msu_sub_page",
         "tjf, d3 b4 and b4 survives", "tjf, d3 b4 even and b4 survives"])
 def test_d3_matrix_columns_are_all_of_d3(page_of, max_degree, monkeypatch):
     # each column, read straight from the key, read back as a page element
     # is d3 of its monomial by the signed Leibniz rule over Z through the
     # page's rewrites: every target lies in a Z/2 group, so no coefficient
-    # other than 1.  On the altered pages b4 has a d3 rule too; on the
-    # first of them b4 kills h1, and on the last the rule is 2 h1^3 b2,
-    # zero mod 2
+    # other than 1.  On the altered pages b4 survives h1 and has a d3
+    # rule too; on the last the rule is 2 h1^3 b2, zero mod 2
     monkeypatch.setenv("JFL_MAX_DEGREE_GUARD", "128")
     page = page_of(max_degree)
     for d in range(max_degree + 1):
@@ -450,6 +456,19 @@ def test_d3_targets_must_be_h1_cubed_times_uncapped_survivors(target):
     spec = tjf_page(16).spec
     with pytest.raises(ValueError, match="not h1\\^3 times uncapped survivors"):
         BigradedPage(spec._replace(d3={"b2": ((1, target),)}))
+
+
+def test_a_d3_rule_on_an_h1_killer_is_refused(monkeypatch):
+    # b4 h1 = 0 but d3(b4 h1) = d3(b4) h1 = h1^4 b2: no derivation; the
+    # sub-page of an msu page altered alike is refused too
+    with pytest.raises(ValueError, match="d3 b4: b4 kills h1"):
+        _with_d3_on_b4(tjf_page)(16)
+    spec = msu_page(16).spec
+    altered = spec._replace(d3=dict(spec.d3, B4=((1, {"h1": 3, "B2": 1}),)))
+    monkeypatch.setattr(spectral, "msu_page",
+                        lambda max_degree: types.SimpleNamespace(spec=altered))
+    with pytest.raises(ValueError, match="d3 B4: B4 kills h1"):
+        msu_sub_page(16)
 
 
 class TestMsuPage:
