@@ -108,6 +108,9 @@ def chern_data(dim, /, **values):
     for k, v in values.items():
         if k not in names:
             raise ValueError("unknown Chern number name %r" % k)
+        if sum(names[k]) != dim:
+            raise ValueError("%s is not a Chern number in complex dimension %d"
+                             % (k, dim))
         numbers[names[k]] = v
     return ChernData(dim, numbers)
 

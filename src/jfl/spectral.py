@@ -10,9 +10,9 @@ Realized bases per (degree, filtration) split into a free sector
 (filtration 0, monomials in the free generators) and 2-torsion sectors
 (filtration s >= 1, h1^s times monomials in the h1-survivors).
 d3 lands in filtration s + 3 >= 3, where every group is Z/2, so a page
-keeps it as a map over F2: one int bitset column per source monomial
-(BigradedPage.d3_matrix), read straight from the monomial's key, with
-no signs and no rewrites (BigradedPage.d3_columns).
+keeps it as a map over F2, once per sector, (d, 0) or d - s for s >= 1
+(BigradedPage.d3_matrix): one int bitset column per source monomial,
+read straight from the monomial's key, with no signs and no rewrites.
 Homology is computed via homology_at(page, d, s), in the page's two
 shapes: Z^n at filtration 0 and (Z/2)^n above it.
   s = 0    nothing comes in and every target is torsion, so the
@@ -60,8 +60,8 @@ both target tables; with them every cross-check below matches.
 from collections import namedtuple
 
 from .lattice import (FPAbelianGroup, determinant, group_to_json,
-                      hermite_normal_form, identity_matrix, invariant_factors,
-                      kernel_basis, solve_column_combination, transpose)
+                      hermite_normal_form, identity_matrix, kernel_basis,
+                      solve_column_combination, transpose)
 from .guard import (DEFAULT_MAX_DEGREE_GUARD, UnsupportedDegree,
                     check_guard, max_degree_guard)
 
@@ -104,7 +104,7 @@ def homology_at(page, d, s):
     """ker(d3)/im(d3) at (d, s) of the page, as an FPAbelianGroup.
 
     The group at (d, s) is Z^n at filtration 0 and (Z/2)^n above it,
-    and d3 raises filtration by 3; BigradedPage.basis and d3_columns
+    and d3 raises filtration by 3; BigradedPage.basis and d3_matrix
     hard-wire that shape (h1 with 2h1 = 0), so no page can break it.
       s = 0   nothing comes in and the target is pure torsion, so the
               kernel of Z^n -> (Z/2)^rows has finite index: Z^n, with n
@@ -191,10 +191,14 @@ class BigradedPage:
         self._degree = {"h1": 1, **{g.name: g.degree for g in spec.generators}}
         for name, rule in spec.d3.items():
             # a killer g has g h1 = 0, yet d3(g h1) = d3(g) h1 would be
-            # h1^4 times survivors: no derivation
+            # h1^4 times survivors: no derivation; one on h1 or off the
+            # page breaks d3_matrix's one matrix per d - s
             if name in spec.torsion_killers:
                 raise ValueError("d3 %s: %s kills h1, so it can carry no d3"
                                  % (name, name))
+            if name not in self.survivor_names:
+                raise ValueError("d3 %s: only a generator of the page that "
+                                 "survives h1 can carry d3" % name)
             for _, exps in rule:
                 if exps.get("h1") != 3 or any(
                         n != "h1" and (n not in self.survivor_names
@@ -204,8 +208,7 @@ class BigradedPage:
                                      "uncapped survivors" % (name, exps))
         self._order = {n: i for i, n in enumerate(("h1",) + self.free_names)}
         self._free_counts = ()
-        self._basis_cache = {}
-        self._matrix_cache = {}
+        self._matrix_cache = {}  # (d, 0) or d - s for s >= 1 -> d3_matrix
         self._kernel_cache = {}  # d3 columns -> T = 2K^-1, homology_at
         self._enum_memo = {}
 
@@ -254,20 +257,14 @@ class BigradedPage:
 
     def basis(self, d, s):
         """Ordered monomials at (degree, filtration), exponents descending
-        in generator order; filtration 0 is the free sector, s >= 1 the
-        h1^s two-torsion sector."""
-        ck = (d, s)
-        if ck in self._basis_cache:
-            return self._basis_cache[ck]
-        if d < 0 or s < 0:
-            mons = ()
-        elif s == 0:
-            mons = self._enumerate(self.free_names, d)
-        else:
-            mons = tuple((("h1", s),) + key for key in
-                         self._enumerate(self.survivor_names, d - s))
-        self._basis_cache[ck] = mons
-        return mons
+        in generator order; filtration 0 is the free sector (the
+        enumeration's own tuple), s >= 1 the h1^s two-torsion sector."""
+        if s == 0:
+            return self._enumerate(self.free_names, d)
+        if s < 0:
+            return ()
+        return tuple((("h1", s),) + key for key in
+                     self._enumerate(self.survivor_names, d - s))
 
     def free_count(self, d):
         """len(basis(d, 0)), counted without enumerating it: one knapsack
@@ -290,10 +287,11 @@ class BigradedPage:
 
     # ---- the differential over F2 ----
 
-    def d3_columns(self, keys, d, s):
-        """d3 of the monomial keys, each in basis(d, s)'s bidegree, over
-        F2: one int bitset column per key over basis(d - 1, s + 3), bit i
-        set where target monomial i has coefficient 1.
+    def d3_matrix(self, d, s):
+        """d3 from basis(d, s) to basis(d - 1, s + 3) over F2: one int
+        bitset column per source monomial, bit i set where target
+        monomial i has coefficient 1.  Every target lies in filtration
+        s + 3 >= 3, where each group is Z/2, so this is all of d3.
 
         Read straight from the key.  By the signed Leibniz rule, g^e
         gives g^(e-1) d3(g) with multiplicity e for even |g| and e mod 2
@@ -303,11 +301,17 @@ class BigradedPage:
         uncapped survivors (checked at construction), so no rewrite
         applies; a product still holding a torsion killer is zero, and
         the rest XOR into the column.
+
+        Kept per sector, (d, 0) or d - s for s >= 1, where only a survivor
+        carries a rule and the sign (-1)^s drops out mod 2.
         """
+        ck = d - s if s >= 1 else (d, s)
+        if ck in self._matrix_cache:
+            return self._matrix_cache[ck]
         index = {m: i for i, m in enumerate(self.basis(d - 1, s + 3))}
         rules, killers = self.spec.d3, self.spec.torsion_killers
         columns = []
-        for key in keys:
+        for key in self.basis(d, s):
             col = 0
             for name, e in key:
                 if e % 2 and name in rules:
@@ -325,17 +329,8 @@ class BigradedPage:
                                 exps[n] = exps.get(n, 0) + t
                             col ^= 1 << index[self.key(exps)]
             columns.append(col)
+        self._matrix_cache[ck] = columns = tuple(columns)
         return columns
-
-    def d3_matrix(self, d, s):
-        """d3 from basis(d, s) to basis(d-1, s+3) over F2, as d3_columns.
-        Every target lies in filtration s + 3 >= 3, where each group is
-        Z/2, so this is all of d3."""
-        ck = (d, s)
-        if ck not in self._matrix_cache:
-            self._matrix_cache[ck] = tuple(
-                self.d3_columns(self.basis(d, s), d, s))
-        return self._matrix_cache[ck]
 
 
 # -- the concrete pages --------------------------------------------------
@@ -421,25 +416,24 @@ def homotopy_groups(page):
 
     H(n, s) is computed once per key (n - s, kind) and shared, kind being
     0 at s = 0, 1 at s = 1, 2 and 2 at s >= 3.  That is exact: for
-    s >= 1, basis(n, s) is h1^s times the survivor monomials of degree
-    k = n - s, and d3 is read mod 2, where the sign (-1)^s drops out, so
-    d3_matrix(n, s) is one matrix per k.  s = 1, 2 have nothing coming
-    in, so they share one group; every s >= 3 takes its incoming columns
-    from the torsion matrix of degree k + 4 (see homology_at), so it
-    shares one group too, and its d3 o d3 check runs once per k.  The
-    groups are immutable.
+    s >= 1, d3_matrix(n, s) is one matrix per k = n - s (see there).
+    s = 1, 2 have nothing coming in, so they share one group; every
+    s >= 3 takes its incoming columns from the torsion matrix of degree
+    k + 4 (see homology_at), so it shares one group too, and its
+    d3 o d3 check runs once per k.  Above filtration 0 every group is
+    (Z/2)^m, 2Z^n being among its relations, so the Z/2s are counted.
+    The groups are immutable.
     """
     out, memo = {}, {}
     for n in range(page.max_degree + 1):
-        rank, torsion = 0, []
+        rank = twos = 0
         for s in range(n + 1):
             key = (n - s, (s >= 1) + (s >= 3))
             if key not in memo:
                 memo[key] = homology_at(page, n, s)
-            h = memo[key]
-            rank += h.rank
-            torsion.extend(h.torsion)
-        out[n] = FPAbelianGroup(rank, invariant_factors(torsion))
+            rank += memo[key].rank
+            twos += len(memo[key].torsion)
+        out[n] = FPAbelianGroup(rank, (2,) * twos)
     return out
 
 
@@ -705,19 +699,17 @@ def surjectivity_check(n_param, max_degree):
             return True, "differential does not commute"
         return True, None
 
-    torsion = {}  # k = d - s -> the verdict shared by every s >= 1
+    verdicts = {}  # (d - s, s >= 1) -> verdict, shared by every s >= 1
     checked, failure = 0, None
     for d, s in ((d, s) for d in range(max_degree + 1) for s in range(d + 1)):
         if s == 0 and d in broken:
             reason = ("substitution breaks the rewrite rule of "
                       + ", ".join(broken[d]))
         else:
-            if s == 0:
-                counted, reason = verdict(d, 0)
-            else:
-                if d - s not in torsion:
-                    torsion[d - s] = verdict(d, s)
-                counted, reason = torsion[d - s]
+            key = (d - s, s >= 1)
+            if key not in verdicts:
+                verdicts[key] = verdict(d, s)
+            counted, reason = verdicts[key]
             checked += counted
         if reason:
             failure = {"degree": d, "filtration": s, "reason": reason}

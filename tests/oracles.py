@@ -264,7 +264,7 @@ def weak_jacobi_smith_form(d, truncation):
 def normalize(page, terms):
     """Canonical page element from (coeff, {name: exp}) terms: the page
     arithmetic over Z that the F2 columns of
-    spectral.BigradedPage.d3_columns are tested against.
+    spectral.BigradedPage.d3_matrix are tested against.
 
     Applies square rewrites, kills h1-torsion products with the
     annihilated generators, and reduces h1-sector coefficients mod 2.
@@ -310,7 +310,7 @@ def normalize(page, terms):
 
 def d3_monomial(page, key):
     """Signed Leibniz extension of the generator rule to a monomial, over
-    Z through normalize: the oracle for spectral.BigradedPage.d3_columns."""
+    Z through normalize: the oracle for spectral.BigradedPage.d3_matrix."""
     out = []
     prefix_degree = 0
     for name, e in key:
@@ -426,7 +426,8 @@ def homology_at_oracle(page, d, s):
 
 def homotopy_groups_oracle(page, max_degree):
     """spectral.homotopy_groups before it shared torsion sectors and
-    kernel lattices: homology_at_oracle summed at every bidegree."""
+    kernel lattices and counted its Z/2s: homology_at_oracle summed at
+    every bidegree, the torsion merged by invariant_factors."""
     out = {}
     for n in range(max_degree + 1):
         rank, torsion = 0, []

@@ -107,6 +107,16 @@ def test_genus_chern_key_dim_is_bad_input(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_genus_chern_key_of_another_dimension_is_bad_input(capsys):
+    # c2 lives in complex dimension 2, not in the 4 of --dim 8
+    code = main(["genus", "--dim", "8", "--chern", "c2=3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ("error: c2 is not a Chern number in complex "
+                            "dimension 4\n")
+    assert "Traceback" not in captured.err
+
+
 def test_homotopy_tjf(run):
     code, out = run(["homotopy", "--target", "tjf", "--max-degree", "6"])
     assert code == 0

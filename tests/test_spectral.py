@@ -415,6 +415,21 @@ def test_homology_at_matches_the_oracle(page_of, max_degree):
 
 @pytest.mark.parametrize("page_of, max_degree", _ORACLE_PAGES,
                          ids=_ORACLE_IDS)
+def test_torsion_above_filtration_zero_is_elementary_abelian(page_of,
+                                                              max_degree):
+    # 2Z^n is among the relations at s >= 1, so every torsion order is 2,
+    # which homotopy_groups relies on when it counts the Z/2s
+    page, orders = page_of(max_degree), set()
+    for n in range(max_degree + 1):
+        for s in range(1, n + 1):
+            h = _homology_or_error(homology_at, page, n, s)
+            if not isinstance(h, str):
+                orders.update(h.torsion)
+    assert orders == {2}
+
+
+@pytest.mark.parametrize("page_of, max_degree", _ORACLE_PAGES,
+                         ids=_ORACLE_IDS)
 def test_torsion_incoming_matches_the_dense_matrix(page_of, max_degree):
     # the s = 3 relations homology_at reads, the torsion columns of h1
     # times the survivor monomials, against every column of the dense
@@ -469,6 +484,33 @@ def test_a_d3_rule_on_an_h1_killer_is_refused(monkeypatch):
                         lambda max_degree: types.SimpleNamespace(spec=altered))
     with pytest.raises(ValueError, match="d3 B4: B4 kills h1"):
         msu_sub_page(16)
+
+
+@pytest.mark.parametrize("name", ["h1", "c"])
+def test_a_d3_rule_on_h1_or_off_the_page_is_refused(name):
+    # a rule on h1 would reach every torsion key, so d3 would no longer be
+    # one matrix per d - s; a rule on a name the page lacks would be read
+    # by nothing
+    spec = tjf_page(16).spec
+    with pytest.raises(ValueError, match="d3 %s: only a generator" % name):
+        BigradedPage(spec._replace(d3=dict(spec.d3,
+                                           **{name: ((1, {"h1": 3}),)})))
+
+
+@pytest.mark.parametrize("page_of, max_degree", [(tjf_page, 24),
+                                                 (msu_page, 32)])
+def test_free_and_torsion_d3_matrices_do_not_alias(page_of, max_degree):
+    # d3_matrix(d, 0) and d3_matrix(d + 1, 1) share d - s, and (d - 1, -1)
+    # is empty: asked in either order on fresh pages, each is its own map
+    free_first, torsion_first = page_of(max_degree), page_of(max_degree)
+    for d in range(-1, max_degree + 1):
+        free = free_first.d3_matrix(d, 0)
+        torsion = free_first.d3_matrix(d + 1, 1)
+        assert torsion_first.d3_matrix(d - 1, -1) == (), d
+        assert torsion_first.d3_matrix(d + 1, 1) == torsion, d
+        assert torsion_first.d3_matrix(d, 0) == free, d
+        assert len(free) == len(free_first.basis(d, 0)), d
+        assert len(torsion) == len(free_first.basis(d + 1, 1)), d
 
 
 class TestMsuPage:
@@ -874,12 +916,14 @@ def _without_h1(mons):
 
 @pytest.mark.parametrize("page_of", [tjf_page, msu_sub_page])
 def test_torsion_sectors_depend_on_d_minus_s_only(page_of):
-    # the fact behind one torsion verdict per k = d - s: for s >= 1 the
-    # basis is h1^s times one tuple of monomials and d3 one tuple of F2 columns
+    # the fact behind one torsion verdict and one d3 matrix per k = d - s:
+    # for s >= 1 the basis is h1^s times one tuple of monomials and d3 one
+    # tuple of F2 columns; each s reads d3 on a fresh page, past the cache
     page = page_of(64)
+    fresh = {s: page_of(64) for s in range(1, 5)}
     for k in range(61):
         bases = {_without_h1(page.basis(k + s, s)) for s in range(1, 5)}
-        d3 = {page.d3_matrix(k + s, s) for s in range(1, 5)}
+        d3 = {fresh[s].d3_matrix(k + s, s) for s in range(1, 5)}
         assert len(bases) == 1 and len(d3) == 1, k
     assert page.d3_matrix(5, 1) == (1,)  # h1 b2 -> h1^4, not zero
 
