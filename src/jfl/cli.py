@@ -66,7 +66,11 @@ def _parse_chern(text):
             key = key.strip()
             if key in values:
                 raise ValueError("--chern gives %s twice" % key)
-            values[key] = int(raw)
+            try:
+                values[key] = int(raw)
+            except ValueError:
+                raise ValueError("--chern %s: %r is not an integer"
+                                 % (item, raw)) from None
     return values
 
 

@@ -4,12 +4,15 @@ Every theta series here is a lacunary sum.  By the Jacobi triple
 product each product of N binomial factors that defines a theta
 function equals a sum over n in Z with O(sqrt N) terms; `_theta_sum`
 builds them all, eta^3 included.  a is a theta block over eta^3, b3 and
-b8 are quotients of theta blocks, and b2 and b4 come from the squares
-of the three normalized theta functions theta_00, theta_01, theta_10,
-which live on a doubled q-grid (Q^2 = q) and are folded back once the
-odd half-orders cancel.  Only two of the squares are built: since
-theta_01(Q) = theta_00(-Q), the theta_01 square is the theta_00 square
-with its odd Q-orders negated.
+b8 are quotients of theta blocks, and b2 and b4 come from two normalized
+theta squares: A = 4 xi_00^2, the one series on a doubled q-grid
+(Q^2 = q), and C = 4 xi_10^2, built on the q grid since theta_10 has
+only even Q-orders.  The third square, B = 4 xi_01^2, is never built:
+theta_01(Q) = theta_00(-Q) makes A + B twice the even Q-orders of A, and
+the Landen identity theta_00(z|tau) theta_01(z|tau) = theta_01(2z|2tau)
+theta_01(0|2tau) makes AB = 4 A(Q -> -q, y -> y^2), a relabelling of A's
+terms.  So b2 = (A + B) + C, and b4 = (AB + (A + B) C)/8 takes one
+series product.
 
 `generator_table(T)` caches one GeneratorTable per truncation, and the
 table builds each generator on first access, found by its public
@@ -91,18 +94,6 @@ def gen_b8(truncation):
     return theta_quotient(3, truncation)
 
 
-def _fold_doubled_q(f):
-    """Map Q^(2n) -> q^n after checking all odd half-orders cancelled."""
-    if f.truncation % 2:
-        raise SeriesError("internal: doubled grid must have even truncation")
-    terms = {}
-    for (n, r2), c in f._terms.items():
-        if n % 2:
-            raise SeriesError("internal: odd half-order q-term survived folding")
-        terms[(n // 2, r2)] = c
-    return QYSeries(terms, f.truncation // 2)
-
-
 def _xi_square(theta):
     """4 xi^2 for xi = theta(z)/theta(0); theta(0) is theta at y = 1."""
     theta0 = make_series(((n, 0, c) for n, _, c in theta.terms()),
@@ -112,38 +103,38 @@ def _xi_square(theta):
 
 @lru_cache(maxsize=2)
 def _xi_square_parts(truncation):
-    """(E, O, C) on the doubled grid: E and O the even and odd Q-orders
-    of A = 4 xi_00^2, and C = 4 xi_10^2, from theta_00 = sum Q^(n^2) y^n
-    and theta_10 = sum Q^(n(n+1)) y^((2n+1)/2).  B = 4 xi_01^2 needs no
-    theta square of its own: theta_01(Q) = theta_00(-Q), so B = A(-Q)
-    = E - O.  Cached, so that b2 and b4 of one truncation share them."""
-    M = 2 * truncation
-    A = _xi_square(_theta_sum(M, 0, _one, doubled=True))
-    halves = ({}, {})
-    for (n, r2), c in A._terms.items():
-        halves[n % 2][(n, r2)] = c
-    return (QYSeries(halves[0], M), QYSeries(halves[1], M),
-            _xi_square(_theta_sum(M, 1, _one, doubled=True)))
+    """(A + B, AB, C) on the q grid, for A, B, C = 4 xi_00^2, 4 xi_01^2,
+    4 xi_10^2.  A comes from theta_00 = sum Q^(n^2) y^n on the doubled
+    grid; B = A(-Q), so A + B is twice A's even Q-orders, and by the
+    Landen identity the term (n, 2 r2) of AB is 4 (-1)^n times A's term
+    (n, r2).  C comes from theta_10 = sum q^(n(n+1)/2) y^((2n+1)/2).
+    Cached, so that b2 and b4 of one truncation share them."""
+    A = _xi_square(_theta_sum(2 * truncation, 0, _one, doubled=True))
+    return (QYSeries({(n // 2, r2): 2 * c for (n, r2), c in A._terms.items()
+                      if n % 2 == 0}, truncation),
+            QYSeries({(n, 2 * r2): -4 * c if n % 2 else 4 * c
+                      for (n, r2), c in A._terms.items() if n < truncation},
+                     truncation),
+            _xi_square(_theta_sum(truncation, 1, _one)))
 
 
 def gen_b2(truncation):
     """The weight-0 generator of degree 4, of Jacobi index 1 in y, q^0
-    part y + 10 + y^{-1}: A + B + C = 2E + C, folded."""
-    E, _, C = _xi_square_parts(truncation)
-    return _fold_doubled_q(E.scale(2) + C)
+    part y + 10 + y^{-1}: A + B + C."""
+    A_plus_B, _, C = _xi_square_parts(truncation)
+    return A_plus_B + C
 
 
 def gen_b4(truncation):
     """The weight-0 generator of degree 8, of Jacobi index 2 in y, q^0
     part y + 4 + y^{-1}.
 
-    Built from the elementary symmetric combination of the three
-    normalized theta squares: with A, B, C as above this is
-    (AB + BC + CA)/8, an exact division, here (E^2 - O^2 + 2EC)/8
-    since AB = (E + O)(E - O) and A + B = 2E.
+    The elementary symmetric combination (AB + BC + CA)/8 of the three
+    normalized theta squares, with A, B, C as above, written as
+    (AB + (A + B) C)/8: an exact division, and one series product.
     """
-    E, O, C = _xi_square_parts(truncation)
-    return _fold_doubled_q((E * E - O * O + (E * C).scale(2)).divide_exact(8))
+    A_plus_B, AB, C = _xi_square_parts(truncation)
+    return (AB + A_plus_B * C).divide_exact(8)
 
 
 class GeneratorTable:

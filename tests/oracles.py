@@ -8,10 +8,10 @@ here; none of them imports from a test module.
 
 from functools import lru_cache
 
-from jfl import ring, spectral
+from jfl import generators, ring, spectral
 from jfl.lattice import (FPAbelianGroup, hermite_normal_form,
-                         invariant_factors, snf_diagonal,
-                         solve_column_combination, transpose)
+                         identity_matrix, invariant_factors, kernel_basis,
+                         snf_diagonal, solve_column_combination, transpose)
 from jfl.ring import IMAGE_GENERATORS, JFElement, degree_basis, eval_series
 from jfl.series import NonDivisible, QYSeries, exact_divide, make_series
 from jfl.spectral import NotAComplex, preimage_lattice, tjf_page
@@ -135,6 +135,39 @@ def xi_square_oracle(M, orders, sign, front):
     num = q_product(M, [(j, r2, sign) for j in orders for r2 in (2, -2)])
     den = q_product(M, [(j, 0, sign) for j in orders])
     return front * exact_divide(num * num, den ** 4)
+
+
+def xi_square_parts_oracle(N):
+    """(E, O, C) on the doubled grid (Q^2 = q), the three-part build that
+    generators._xi_square_parts replaced: E and O the even and odd
+    Q-orders of A = 4 xi_00^2, so B = A(-Q) = E - O, and C = 4 xi_10^2
+    from theta_10 on the doubled grid too."""
+    M = 2 * N
+    A = generators._xi_square(generators._theta_sum(M, 0, generators._one,
+                                                    doubled=True))
+    halves = ({}, {})
+    for (n, r2), c in A._terms.items():
+        halves[n % 2][(n, r2)] = c
+    return (QYSeries(halves[0], M), QYSeries(halves[1], M),
+            generators._xi_square(generators._theta_sum(M, 1, generators._one,
+                                                        doubled=True)))
+
+
+def fold_doubled_q(f):
+    """Map Q^(2n) -> q^n after checking that no odd Q-order is left."""
+    if f.truncation % 2 or any(n % 2 for n, _ in f._terms):
+        raise ValueError("not a series in Q^2")
+    return QYSeries({(n // 2, r2): c for (n, r2), c in f._terms.items()},
+                    f.truncation // 2)
+
+
+def b2_b4_oracle(N):
+    """(b2, b4) to q^N from xi_square_parts_oracle, as generators.gen_b2 and
+    gen_b4 built them: b2 = A + B + C = 2E + C, and b4 = (AB + BC + CA)/8
+    = (E^2 - O^2 + 2EC)/8, three series products, folded."""
+    E, O, C = xi_square_parts_oracle(N)
+    return (fold_doubled_q(E.scale(2) + C),
+            fold_doubled_q((E * E - O * O + (E * C).scale(2)).divide_exact(8)))
 
 
 # -- lattice -----------------------------------------------------------
@@ -436,6 +469,68 @@ def homotopy_groups_oracle(page, max_degree):
             rank += h.rank
             torsion.extend(h.torsion)
         out[n] = FPAbelianGroup(rank, invariant_factors(torsion))
+    return out
+
+
+def homotopy_groups_spec_oracle(page, max_degree):
+    """spectral.homotopy_groups read from the page's spec alone, with no
+    code that homotopy_groups runs: bases from basis_oracle, d3 columns
+    from d3_monomial mod 2, their F2 product by its own loop, and the
+    kernel lattice {x : d3 x = 0 mod 2} as the kernel of [d3 | 2I]
+    (lattice.kernel_basis), cut to x and put in Hermite form.  No
+    BigradedPage.basis, d3_matrix or free_count and no spectral helper,
+    so a wrong cached basis, d3 matrix or knapsack shows as a difference.
+    H(n, s) at every bidegree, nothing shared across sectors."""
+    bases, columns = {}, {}
+
+    def basis(d, s):
+        if (d, s) not in bases:
+            bases[d, s] = basis_oracle(page, d, s)
+        return bases[d, s]
+
+    def d3(d, s):
+        # bit i of a column is the coefficient of target monomial i mod 2
+        if (d, s) not in columns:
+            index = {m: i for i, m in enumerate(basis(d - 1, s + 3))}
+            columns[d, s] = [sum(1 << index[k] for k, c in
+                                 d3_monomial(page, key).items() if c % 2)
+                             for key in basis(d, s)]
+        return columns[d, s]
+
+    def homology(d, s):
+        m = len(basis(d, s))
+        if s == 0 or m == 0:
+            return FPAbelianGroup(m)
+        d_out = d3(d, s)
+        relations = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
+        for col in d3(d + 1, s - 3) if s >= 3 else ():
+            image = 0
+            for i in range(m):
+                if col >> i & 1:
+                    image ^= d_out[i]
+            if image:
+                raise NotAComplex("d3 o d3 is nonzero from (%d, %d)"
+                                  % (d + 1, s - 3))
+            relations.append([col >> i & 1 for i in range(m)])
+        rows = max(d_out).bit_length()
+        if rows:
+            augmented = [[c >> i & 1 for c in d_out]
+                         + [2 if i == j else 0 for j in range(rows)]
+                         for i in range(rows)]
+            kbasis = hermite_normal_form(
+                [v[:m] for v in kernel_basis(augmented, ncols=m + rows)], m)
+        else:
+            kbasis = identity_matrix(m)
+        coords = solve_column_combination(transpose(kbasis), relations)
+        if any(y is None for y in coords):
+            raise NotAComplex("image vector falls outside the kernel lattice")
+        return FPAbelianGroup.from_presentation(m, coords)
+
+    out = {}
+    for n in range(max_degree + 1):
+        groups = [homology(n, s) for s in range(n + 1)]
+        out[n] = FPAbelianGroup(sum(h.rank for h in groups), invariant_factors(
+            [t for h in groups for t in h.torsion]))
     return out
 
 

@@ -90,6 +90,15 @@ def test_genus_bad_chern_string(run):
     assert "key=value" in out
 
 
+def test_genus_chern_value_not_an_integer(capsys):
+    # the entry is named, not int()'s "invalid literal ... base 10"
+    code = main(["genus", "--dim", "4", "--chern", "c2=abc"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "error: --chern c2=abc: 'abc' is not an integer\n"
+    assert "Traceback" not in captured.err
+
+
 def test_genus_repeated_chern_key(run):
     # a repeated key is refused, not overwritten (c2=24 alone prints 2*b2)
     code, out = run(["genus", "--dim", "4", "--chern", "c2=1,c2=24"])

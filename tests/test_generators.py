@@ -14,8 +14,8 @@ from jfl.generators import (CALIBRATION, discriminant, eisenstein_c4,
 from jfl.series import (BadExponent, QYSeries, exact_divide, make_series,
                         render_json_dict)
 from jfl.spectral import DEFAULT_MAX_DEGREE_GUARD
-from oracles import (dict_product, divisor_power_sum, q_product,
-                     theta_block_oracle, xi_square_oracle)
+from oracles import (b2_b4_oracle, dict_product, divisor_power_sum,
+                     q_product, theta_block_oracle, xi_square_oracle)
 
 T = 9  # window wide enough for every identity pinned below
 
@@ -320,6 +320,14 @@ def test_b2_b4_share_the_theta_squares(monkeypatch, via_table):
     assert b4.q_layer(0) == {-2: 1, 0: 4, 2: 1}
 
 
+# the three-part build of b2 and b4 (E, O and C on the doubled grid,
+# three products) at small N, where the theta sums keep one to three
+# terms, and up to the benchmark's widest qmax, 45, and the default guard
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 9, 13, 33, 45, 64])
+def test_b2_b4_match_the_three_part_build(N):
+    assert (gen_b2(N), gen_b4(N)) == b2_b4_oracle(N)
+
+
 def test_table_finds_only_builder_names(monkeypatch):
     # no gen_c4 and no gen_gen_a: AttributeError, no builder called and
     # nothing kept, and a copy, made before any slot is filled, is equal
@@ -367,13 +375,15 @@ def test_lacunary_sums_match_product_formulas(N):
     for k, block in blocks.items():
         assert generators._theta_block(k, N) == block
     odd, even = range(1, M, 2), range(2, M, 2)
-    A, B, C = parts = (
+    A, B, C = (
         xi_square_oracle(M, odd, 1, 4),
         xi_square_oracle(M, odd, -1, 4),
         xi_square_oracle(M, even, 1, make_series([(0, 2, 1), (0, 0, 2),
                                                    (0, -2, 1)], M)))
-    E, O, C_part = generators._xi_square_parts(N)
-    assert (E + O, E - O, C_part) == parts
+    # A + B and AB on the q grid, and C built there: B and the Landen
+    # identity AB = 4 A(Q -> -q, y -> y^2) against their product formulas
+    assert tuple(map(_stretch, generators._xi_square_parts(N))) == (
+        A + B, A * B, C)
 
     t = generator_table(N)
     assert t.a == exact_divide(blocks[1], eta3)

@@ -60,3 +60,45 @@ def test_no_module_imports_a_name_it_does_not_use():
              for path in sorted((ROOT / "src" / "jfl").glob("*.py"))
              for line, name in unused_imports(path.read_text())]
     assert found == []
+
+
+# what a page computes and keeps: an oracle that reads one of these, or
+# anything of spectral beyond NotAComplex, shares code with what it checks
+PAGE_INTERNALS = {"basis", "d3_matrix", "free_count", "_enumerate",
+                  "_enum_memo", "_free_counts", "_matrix_cache",
+                  "_kernel_cache"}
+
+
+def internals_read(tree, root):
+    """(function, name) of each page internal or spectral name read by
+    the module function `root` or a module function it reaches."""
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    from_spectral = {alias.asname or alias.name for node in tree.body
+                     if isinstance(node, ast.ImportFrom)
+                     and node.module == "jfl.spectral"
+                     for alias in node.names} - {"NotAComplex"}
+    seen, todo, found = set(), [root], []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Name):
+                if node.id in funcs:
+                    todo.append(node.id)
+                elif node.id in from_spectral:
+                    found.append((name, node.id))
+            elif isinstance(node, ast.Attribute) and (
+                    node.attr in PAGE_INTERNALS
+                    or getattr(node.value, "id", None) == "spectral"):
+                found.append((name, node.attr))
+    return sorted(set(found))
+
+
+def test_the_spec_homology_oracle_shares_no_page_code():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    assert ("homology_at_oracle", "d3_matrix") in internals_read(
+        tree, "homotopy_groups_oracle")
+    assert internals_read(tree, "homotopy_groups_spec_oracle") == []

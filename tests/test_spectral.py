@@ -15,7 +15,8 @@ from jfl.spectral import (BigradedPage, NotAComplex,
                           preimage_lattice, surjectivity_check, tjf_page)
 from oracles import (bareiss_determinant, basis_oracle, crooked_images,
                      d3_element, d3_monomial, homology_at_oracle,
-                     homotopy_groups_oracle, msu_group, normalize, page_map,
+                     homotopy_groups_oracle, homotopy_groups_spec_oracle,
+                     msu_group, normalize, page_map,
                      partition_count, spec_count, spec_torsion_count,
                      surjectivity_check_oracle)
 from property_suites import d3_squared_zero, signed_leibniz
@@ -161,6 +162,24 @@ def test_homotopy_groups_match_the_per_bidegree_oracle(page_of):
     guard = spectral.DEFAULT_MAX_DEGREE_GUARD
     page = page_of(guard)
     assert homotopy_groups(page) == homotopy_groups_oracle(page, guard)
+
+
+@pytest.mark.parametrize("page_of, max_degree", [(tjf_page, 64),
+                                                 (msu_page, 48)])
+def test_homotopy_groups_match_the_spec_oracle(page_of, max_degree):
+    page = page_of(max_degree)
+    assert homotopy_groups(page) == homotopy_groups_spec_oracle(page, max_degree)
+
+
+def test_a_poisoned_torsion_matrix_fails_only_the_spec_oracle():
+    # d3(h1^s b2) = h1^(s + 3), so the torsion matrix of d - s = 4 is one
+    # column, 1.  Zeroed in the page's cache, it changes homotopy_groups;
+    # the spec oracle builds its own columns and keeps the true groups
+    page, D = tjf_page(24), 24
+    assert page.d3_matrix(5, 1) == (1,)
+    page._matrix_cache[4] = (0,)
+    assert homotopy_groups(page) != homotopy_groups_spec_oracle(page, D)
+    assert homotopy_groups_spec_oracle(page, D) == homotopy_groups(tjf_page(D))
 
 
 @pytest.mark.parametrize("page_of", [tjf_page, msu_page])
