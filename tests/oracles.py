@@ -14,7 +14,7 @@ from jfl.lattice import (FPAbelianGroup, hermite_normal_form,
                          snf_diagonal, solve_column_combination, transpose)
 from jfl.ring import IMAGE_GENERATORS, JFElement, degree_basis, eval_series
 from jfl.series import NonDivisible, QYSeries, exact_divide, make_series
-from jfl.spectral import NotAComplex, preimage_lattice, tjf_page
+from jfl.spectral import NotAComplex, tjf_page
 
 
 # -- series ------------------------------------------------------------
@@ -430,73 +430,41 @@ def basis_oracle(page, d, s):
     return tuple(tuple((n, x[n]) for n in names if x.get(n)) for x in exps)
 
 
-def homology_at_oracle(page, d, s):
-    """spectral.homology_at before the page kept its kernel lattices: K
-    and the rows 2e_i built afresh at every bidegree, and every relation
-    solved in K coordinates by one Smith form.  The incoming relations
-    are their definition, d3 from (d + 1, s - 3): at s = 3 every column
-    of the dense free-sector matrix."""
-    if s == 0:
-        return FPAbelianGroup(page.free_count(d))
-    m = len(page.basis(d, s))
-    if m == 0:
-        return FPAbelianGroup(0)
-    d_out = page.d3_matrix(d, s)
-    relations = [[2 if i == j else 0 for j in range(m)] for i in range(m)]
-    if s >= 3:
-        incoming = dict.fromkeys(page.d3_matrix(d + 1, s - 3))
-        incoming.pop(0, None)
-        if any(spectral._mod2_product(d_out, incoming)):
-            raise NotAComplex("d3 o d3 is nonzero from (%d, %d)"
-                              % (d + 1, s - 3))
-        relations += [[(col >> i) & 1 for i in range(m)] for col in incoming]
-    kbasis = preimage_lattice(d_out)
-    rows = solve_column_combination(transpose(kbasis), relations)
-    if any(y is None for y in rows):
-        raise NotAComplex("image vector falls outside the kernel lattice")
-    return FPAbelianGroup.from_presentation(len(kbasis), rows)
-
-
-def homotopy_groups_oracle(page, max_degree):
-    """spectral.homotopy_groups before it shared torsion sectors and
-    kernel lattices and counted its Z/2s: homology_at_oracle summed at
-    every bidegree, the torsion merged by invariant_factors."""
-    out = {}
-    for n in range(max_degree + 1):
-        rank, torsion = 0, []
-        for s in range(n + 1):
-            h = homology_at_oracle(page, n, s)
-            rank += h.rank
-            torsion.extend(h.torsion)
-        out[n] = FPAbelianGroup(rank, invariant_factors(torsion))
-    return out
-
-
-def homotopy_groups_spec_oracle(page, max_degree):
-    """spectral.homotopy_groups read from the page's spec alone, with no
-    code that homotopy_groups runs: bases from basis_oracle, d3 columns
-    from d3_monomial mod 2, their F2 product by its own loop, and the
-    kernel lattice {x : d3 x = 0 mod 2} as the kernel of [d3 | 2I]
-    (lattice.kernel_basis), cut to x and put in Hermite form.  No
-    BigradedPage.basis, d3_matrix or free_count and no spectral helper,
-    so a wrong cached basis, d3 matrix or knapsack shows as a difference.
-    H(n, s) at every bidegree, nothing shared across sectors."""
-    bases, columns = {}, {}
+def spec_bases(page):
+    """basis_oracle(page, d, s) as a function of (d, s), enumerated once
+    per degree at s = 0 and once per d - s above it: by the page's
+    definition the basis is h1^s times the survivors of degree d - s."""
+    enumerated = lru_cache(maxsize=None)(lambda d, s: basis_oracle(page, d, s))
 
     def basis(d, s):
-        if (d, s) not in bases:
-            bases[d, s] = basis_oracle(page, d, s)
-        return bases[d, s]
+        if s == 0:
+            return enumerated(d, 0)
+        return tuple((("h1", s),) + m[1:] for m in enumerated(d - s + 1, 1))
 
+    return basis
+
+
+def spec_homology(page):
+    """spectral.homology_at(page, d, s) as a function of (d, s), read from
+    the page's spec alone, with no code that homology_at runs: bases from
+    spec_bases, d3 columns from d3_monomial mod 2, their F2 product by its
+    own loop, and the kernel lattice {x : d3 x = 0 mod 2} as the kernel of
+    [d3 | 2I] (lattice.kernel_basis), cut to x and put in Hermite form.
+    No BigradedPage.basis, d3_matrix or free_count and no spectral helper,
+    so a wrong cached basis, d3 matrix or knapsack shows as a difference.
+    The incoming relations are their definition, d3 from (d + 1, s - 3):
+    at s = 3 the free sector's.  Columns and groups are kept per bidegree."""
+    basis = spec_bases(page)
+
+    @lru_cache(maxsize=None)
     def d3(d, s):
         # bit i of a column is the coefficient of target monomial i mod 2
-        if (d, s) not in columns:
-            index = {m: i for i, m in enumerate(basis(d - 1, s + 3))}
-            columns[d, s] = [sum(1 << index[k] for k, c in
-                                 d3_monomial(page, key).items() if c % 2)
-                             for key in basis(d, s)]
-        return columns[d, s]
+        index = {m: i for i, m in enumerate(basis(d - 1, s + 3))}
+        return [sum(1 << index[k] for k, c in
+                    d3_monomial(page, key).items() if c % 2)
+                for key in basis(d, s)]
 
+    @lru_cache(maxsize=None)
     def homology(d, s):
         m = len(basis(d, s))
         if s == 0 or m == 0:
@@ -526,6 +494,13 @@ def homotopy_groups_spec_oracle(page, max_degree):
             raise NotAComplex("image vector falls outside the kernel lattice")
         return FPAbelianGroup.from_presentation(m, coords)
 
+    return homology
+
+
+def homotopy_groups_spec_oracle(homology, max_degree):
+    """spectral.homotopy_groups from a spec_homology entry: H(n, s) at
+    every bidegree through max_degree, nothing shared across sectors,
+    summed with the torsion merged by invariant_factors."""
     out = {}
     for n in range(max_degree + 1):
         groups = [homology(n, s) for s in range(n + 1)]
@@ -570,13 +545,25 @@ def spec_count(page):
 
 # -- surjectivity ------------------------------------------------------
 
-def bidegree_failure(sub, target, phi, d, s):
+def substitution_images(n_param):
+    """phi_N on the sub-page generators as (coeff, {name: exp}) terms in
+    the tjf generators, written out from the closed form that
+    spectral._substitution_images solves in the ring: B2 -> b2,
+    B3 -> b3, B4 -> -b4 + 2N b2^2, C8 -> b8 + N b2^2 b4 - N^2 b2^4."""
+    n = n_param
+    return {"B2": ((1, {"b2": 1}),), "B3": ((1, {"b3": 1}),),
+            "B4": ((-1, {"b4": 1}), (2 * n, {"b2": 2})),
+            "C8": ((1, {"b8": 1}), (n, {"b2": 2, "b4": 1}),
+                   (-n * n, {"b2": 4}))}
+
+
+def bidegree_failure(sub, target, phi, src, dst, s):
     """The per-monomial check that spectral.surjectivity_check replaced:
-    why phi_N fails on (d, s), where both bases share a nonzero size, or
-    None.  The matrix over target.basis(d, s) needs determinant +-1
-    (free) or odd (torsion), and d3 phi(m) = phi(d3 m) for each m."""
-    src = sub.basis(d, s)
-    index = {m: i for i, m in enumerate(target.basis(d, s))}
+    why phi_N fails from the basis src onto dst, of one bidegree in
+    filtration s and of one nonzero size, or None.  The matrix over dst
+    needs determinant +-1 (free) or odd (torsion), and d3 phi(m) =
+    phi(d3 m) for each m."""
+    index = {m: i for i, m in enumerate(dst)}
     images = [phi({m: 1}) for m in src]
     matrix = [[0] * len(src) for _ in index]
     for j, image in enumerate(images):
@@ -594,15 +581,13 @@ def bidegree_failure(sub, target, phi, d, s):
 
 
 def page_map(target, images):
-    """phi_N into target-page elements through page arithmetic,
-    independent of the ring products (spectral._ring_images) that
-    spectral.surjectivity_check uses: a monomial goes to the target
-    page's product of its factors' images, and its one normalize serves
-    every sector.  A free monomial's image is built once, from the one
-    with one factor fewer; h1^s m goes to h1^s times the image of m."""
-    page_key = spectral._page_key()
-    gens = {name: {page_key(m): c for m, c in x.coeffs.items()}
-            for name, x in images.items()}
+    """phi_N into target-page elements through page arithmetic, not the
+    ring products (spectral._ring_images) of spectral.surjectivity_check:
+    the generators' images, terms as substitution_images gives them, are
+    normalized on the target page; a free monomial goes to the product of
+    its factors' images, built once from the one with one factor fewer,
+    and h1^s m to h1^s times the image of m."""
+    gens = {name: normalize(target, terms) for name, terms in images.items()}
     free = {(): {(): 1}}
 
     def free_image(key):
@@ -625,15 +610,17 @@ def page_map(target, images):
 
 def surjectivity_check_oracle(n_param, max_degree, page_map=page_map):
     """spectral.surjectivity_check as it was: every bidegree on its own,
-    through bidegree_failure, with phi_N from page_map."""
+    through bidegree_failure, with phi_N from page_map of
+    substitution_images and both bases from spec_bases."""
     sub = spectral.msu_sub_page(max_degree)
     target = tjf_page(max_degree)
-    phi = page_map(target, spectral._substitution_images(n_param))
+    sub_basis, target_basis = spec_bases(sub), spec_bases(target)
+    phi = page_map(target, substitution_images(n_param))
     rules = [(2 * g.degree, g.name, sub.spec.rewrite_rules[g.name])
              for g in sub.spec.generators if g.name in sub.spec.rewrite_rules]
     checked, failure = 0, None
     for d, s in ((d, s) for d in range(max_degree + 1) for s in range(d + 1)):
-        src, dst = sub.basis(d, s), target.basis(d, s)
+        src, dst = sub_basis(d, s), target_basis(d, s)
         broken = [name for rd, name, rule in rules if (rd, 0) == (d, s)
                   and phi({((name, 2),): 1})
                   != phi({sub.key(m): c for c, m in rule})]
@@ -645,7 +632,7 @@ def surjectivity_check_oracle(n_param, max_degree, page_map=page_map):
             continue
         else:
             checked += 1
-            reason = bidegree_failure(sub, target, phi, d, s)
+            reason = bidegree_failure(sub, target, phi, src, dst, s)
         if reason:
             failure = {"degree": d, "filtration": s, "reason": reason}
             break
@@ -659,7 +646,8 @@ def surjectivity_check_oracle(n_param, max_degree, page_map=page_map):
 def crooked_images(n_param):
     """A wrong substitution (B4 to -2 b4, C8 to -b8) in place of
     spectral._substitution_images: phi_0 fails at (8, 0), so
-    spectral.surjectivity_check and its oracle must report a mismatch."""
+    spectral.surjectivity_check and, handed them as page terms, its oracle
+    must report a mismatch."""
     return {"B2": ring.B2, "B3": ring.B3,
             "B4": ring.B4.scale(-2), "C8": -ring.B8}
 

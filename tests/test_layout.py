@@ -1,10 +1,12 @@
-"""Layout rules: the oracles have one home, tests/oracles.py, so no test
-helper, test module or CI step imports from a test module; and no jfl
-module imports a name it neither reads nor exports."""
+"""Layout rules: the oracles have one home, tests/oracles.py, so nothing
+imports from a test module; the page oracles read only a page's spec;
+and no jfl module imports a name it neither reads nor exports."""
 
 import ast
 import re
 from pathlib import Path
+
+from jfl import spectral
 
 ROOT = Path(__file__).resolve().parent.parent
 IMPORTS_A_TEST_MODULE = re.compile(r"\s*(from|import) test_")
@@ -62,22 +64,24 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert found == []
 
 
-# what a page computes and keeps: an oracle that reads one of these, or
-# anything of spectral beyond NotAComplex, shares code with what it checks
-PAGE_INTERNALS = {"basis", "d3_matrix", "free_count", "_enumerate",
-                  "_enum_memo", "_free_counts", "_matrix_cache",
-                  "_kernel_cache"}
+# all an oracle may read of a page and of spectral: any other page
+# attribute or spectral name is code shared with what it checks
+SPEC_READERS = {"spec", "key", "_degree", "free_names", "survivor_names"}
+SPECTRAL_ALLOWED = {"msu_sub_page", "tjf_page", "NotAComplex"}
+PAGE_INTERNALS = (set(vars(spectral.tjf_page(8)))
+                  | set(vars(spectral.BigradedPage))) - SPEC_READERS
 
 
 def internals_read(tree, root):
-    """(function, name) of each page internal or spectral name read by
-    the module function `root` or a module function it reaches."""
+    """(function, name) of each page attribute past SPEC_READERS, and each
+    spectral name past SPECTRAL_ALLOWED, read by the module function
+    `root` or a module function it reaches."""
     funcs = {node.name: node for node in tree.body
              if isinstance(node, ast.FunctionDef)}
     from_spectral = {alias.asname or alias.name for node in tree.body
                      if isinstance(node, ast.ImportFrom)
                      and node.module == "jfl.spectral"
-                     for alias in node.names} - {"NotAComplex"}
+                     for alias in node.names} - SPECTRAL_ALLOWED
     seen, todo, found = set(), [root], []
     while todo:
         name = todo.pop()
@@ -92,13 +96,19 @@ def internals_read(tree, root):
                     found.append((name, node.id))
             elif isinstance(node, ast.Attribute) and (
                     node.attr in PAGE_INTERNALS
-                    or getattr(node.value, "id", None) == "spectral"):
+                    or getattr(node.value, "id", None) == "spectral"
+                    and node.attr not in SPECTRAL_ALLOWED):
                 found.append((name, node.attr))
     return sorted(set(found))
 
 
 def test_the_spec_homology_oracle_shares_no_page_code():
+    probe = ast.parse("from jfl.spectral import preimage_lattice, tjf_page\n"
+                      "def f(p):\n"
+                      "    return preimage_lattice(p.basis), spectral._x\n")
+    assert internals_read(probe, "f") == [
+        ("f", "_x"), ("f", "basis"), ("f", "preimage_lattice")]
     tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
-    assert ("homology_at_oracle", "d3_matrix") in internals_read(
-        tree, "homotopy_groups_oracle")
-    assert internals_read(tree, "homotopy_groups_spec_oracle") == []
+    for root in ("spec_homology", "homotopy_groups_spec_oracle",
+                 "surjectivity_check_oracle", "page_map", "bidegree_failure"):
+        assert internals_read(tree, root) == [], root

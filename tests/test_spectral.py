@@ -14,11 +14,10 @@ from jfl.spectral import (BigradedPage, NotAComplex,
                           homotopy_groups, msu_page, msu_sub_page,
                           preimage_lattice, surjectivity_check, tjf_page)
 from oracles import (bareiss_determinant, basis_oracle, crooked_images,
-                     d3_element, d3_monomial, homology_at_oracle,
-                     homotopy_groups_oracle, homotopy_groups_spec_oracle,
-                     msu_group, normalize, page_map,
-                     partition_count, spec_count, spec_torsion_count,
-                     surjectivity_check_oracle)
+                     d3_element, d3_monomial, homotopy_groups_spec_oracle,
+                     msu_group, normalize, page_map, partition_count,
+                     spec_count, spec_homology, spec_torsion_count,
+                     substitution_images, surjectivity_check_oracle)
 from property_suites import d3_squared_zero, signed_leibniz
 
 
@@ -157,29 +156,18 @@ def test_homotopy_groups_pinned_list():
     ]
 
 
-@pytest.mark.parametrize("page_of", [tjf_page, msu_page])
-def test_homotopy_groups_match_the_per_bidegree_oracle(page_of):
-    guard = spectral.DEFAULT_MAX_DEGREE_GUARD
-    page = page_of(guard)
-    assert homotopy_groups(page) == homotopy_groups_oracle(page, guard)
-
-
-@pytest.mark.parametrize("page_of, max_degree", [(tjf_page, 64),
-                                                 (msu_page, 48)])
-def test_homotopy_groups_match_the_spec_oracle(page_of, max_degree):
-    page = page_of(max_degree)
-    assert homotopy_groups(page) == homotopy_groups_spec_oracle(page, max_degree)
-
-
-def test_a_poisoned_torsion_matrix_fails_only_the_spec_oracle():
+def test_a_poisoned_torsion_matrix_shows_against_the_spec_oracle():
     # d3(h1^s b2) = h1^(s + 3), so the torsion matrix of d - s = 4 is one
-    # column, 1.  Zeroed in the page's cache, it changes homotopy_groups;
-    # the spec oracle builds its own columns and keeps the true groups
-    page, D = tjf_page(24), 24
+    # column, 1.  Zeroed in the page's cache, it leaves a Z/2 at (5, 1)
+    # and (4, 4); the spec oracle builds its own columns and keeps 0 there
+    page, fresh = tjf_page(24), tjf_page(24)
     assert page.d3_matrix(5, 1) == (1,)
     page._matrix_cache[4] = (0,)
-    assert homotopy_groups(page) != homotopy_groups_spec_oracle(page, D)
-    assert homotopy_groups_spec_oracle(page, D) == homotopy_groups(tjf_page(D))
+    spec = spec_homology(page)
+    for d, s in ((5, 1), (4, 4)):
+        assert homology_at(page, d, s) == FPAbelianGroup(0, (2,)), (d, s)
+        assert spec(d, s) == FPAbelianGroup(0) == homology_at(fresh, d, s)
+    assert homotopy_groups_spec_oracle(spec, 24) == homotopy_groups(fresh)
 
 
 @pytest.mark.parametrize("page_of", [tjf_page, msu_page])
@@ -401,9 +389,9 @@ def _b4_survives(max_degree):
     return _without_even_killers(tjf_page, lambda n: n == "b4")(max_degree)
 
 
-def _homology_or_error(homology, page, d, s):
+def _or_error(f, *args):
     try:
-        return homology(page, d, s)
+        return f(*args)
     except NotAComplex as exc:
         return str(exc)
 
@@ -423,13 +411,17 @@ _ORACLE_IDS = ["tjf", "msu", "msu sub", "tjf, b4 survives",
                          ids=_ORACLE_IDS)
 def test_homology_at_matches_the_oracle(page_of, max_degree):
     # every s >= 1 bidegree, in the order homotopy_groups meets them, so
-    # the kernel lattices kept on the page are reused across sectors; on
-    # a page that is no complex both raise the same NotAComplex
-    page, fresh = page_of(max_degree), page_of(max_degree)
+    # the kernel lattices kept on the page are reused across sectors, then
+    # the totals of a fresh page; on a page that is no complex both raise
+    # the same NotAComplex
+    page = page_of(max_degree)
+    spec = spec_homology(page)
     for n in range(max_degree + 1):
         for s in range(1, n + 1):
-            assert (_homology_or_error(homology_at, page, n, s)
-                    == _homology_or_error(homology_at_oracle, fresh, n, s)), (n, s)
+            assert (_or_error(homology_at, page, n, s)
+                    == _or_error(spec, n, s)), (n, s)
+    assert (_or_error(homotopy_groups, page_of(max_degree))
+            == _or_error(homotopy_groups_spec_oracle, spec, max_degree))
 
 
 @pytest.mark.parametrize("page_of, max_degree", _ORACLE_PAGES,
@@ -441,7 +433,7 @@ def test_torsion_above_filtration_zero_is_elementary_abelian(page_of,
     page, orders = page_of(max_degree), set()
     for n in range(max_degree + 1):
         for s in range(1, n + 1):
-            h = _homology_or_error(homology_at, page, n, s)
+            h = _or_error(homology_at, page, n, s)
             if not isinstance(h, str):
                 orders.update(h.torsion)
     assert orders == {2}
@@ -642,6 +634,21 @@ def _opposite_c8_sign(n_param):
     return images
 
 
+def _page_map_with_the_opposite_c8_sign(target, images):
+    # the same on the oracle's own phi_N
+    return page_map(target, dict(images, C8=tuple(
+        (-c, m) for c, m in images["C8"])))
+
+
+def _crooked_page_map(target, images):
+    # crooked_images, the same for every N, as page terms: a ring monomial
+    # lists the exponents of b2, b3, b4 and b8
+    return page_map(target, {
+        name: tuple((c, dict(zip(("b2", "b3", "b4", "b8"), mono)))
+                    for mono, c in x.coeffs.items())
+        for name, x in crooked_images(0).items()})
+
+
 def _sub_page_with(max_degree, **changes):
     spec = _right_sub_page(max_degree).spec
     return spectral.BigradedPage(spec._replace(**changes))
@@ -717,6 +724,8 @@ BROKEN = {
 
 # the oracle's phi_N for the broken cases that change phi_N itself
 ORACLE_PAGE_MAP = {
+    "crooked substitution": _crooked_page_map,
+    "opposite C8 sign": _page_map_with_the_opposite_c8_sign,
     "phi kills h1": _page_map_without_torsion,
     "torsion twist": _page_map_with_a_torsion_twist,
 }
@@ -859,6 +868,13 @@ class TestSurjectivity:
             assert report["status"] == "mismatch"
             assert report == surjectivity_check_oracle(n, 32, oracle_map), n
 
+    def test_the_oracle_writes_its_own_substitution(self, monkeypatch):
+        # only the walk reads spectral._substitution_images: crooked, it
+        # fails the walk and leaves the oracle's closed form ok
+        monkeypatch.setattr(spectral, "_substitution_images", crooked_images)
+        assert surjectivity_check(0, 16)["status"] == "mismatch"
+        assert surjectivity_check_oracle(0, 16)["status"] == "ok"
+
     def test_detects_a_broken_substitution(self, monkeypatch):
         monkeypatch.setattr(spectral, *BROKEN["crooked substitution"])
         report = surjectivity_check(0, 16)
@@ -950,7 +966,7 @@ def test_torsion_sectors_depend_on_d_minus_s_only(page_of):
 def test_phi_columns_depend_on_d_minus_s_only():
     sub, target = msu_sub_page(64), tjf_page(64)
     for n in range(-3, 4):
-        phi = page_map(target, spectral._substitution_images(n))
+        phi = page_map(target, substitution_images(n))
         for k in range(61):
             columns = set()
             for s in range(1, 5):
